@@ -3,13 +3,16 @@
 // metric snapshot diffed byte-for-byte against a committed .expected.txt.
 // Any change to admission, scheduling, mapping, or the flash timing model
 // shows up as a readable text diff instead of a silent drift — and the
-// parallel engine must reproduce the same snapshot bit for bit.
+// parallel engine must reproduce the same snapshot bit for bit. The last
+// line digests every per-request outcome, so the snapshots also pin the
+// engine's request-level behaviour, not just its reports.
 //
 // Regenerating after an *intended* behaviour change:
 //   FLASHQOS_GOLDEN_REGEN=1 ./build/tests/golden_replay_test
 // rewrites the .expected.txt files in the source tree; review the diff.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
@@ -75,6 +78,32 @@ std::string format_result(const core::PipelineResult& r) {
         << " admitted=" << u.admitted << " shed=" << u.shed
         << " marked=" << u.marked << " max_depth=" << u.max_depth << "\n";
   }
+  // Per-request anchor: an FNV-1a digest over every RequestOutcome field,
+  // so a drift in any single outcome shows even when the reports agree.
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const auto& o : r.outcomes) {
+    mix(static_cast<std::uint64_t>(o.arrival));
+    mix(static_cast<std::uint64_t>(o.dispatch));
+    mix(static_cast<std::uint64_t>(o.start));
+    mix(static_cast<std::uint64_t>(o.finish));
+    mix(o.device);
+    mix(o.fim_matched ? 1 : 0);
+    mix(o.failed ? 1 : 0);
+    mix(o.is_write ? 1 : 0);
+    mix(static_cast<std::uint64_t>(o.path));
+    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(o.q_ppm)));
+    mix(o.tenant);
+    mix(o.wfq_marked ? 1 : 0);
+  }
+  out << "outcomes n=" << r.outcomes.size() << " fnv64=" << std::hex
+      << std::setw(16) << std::setfill('0') << h << std::dec
+      << std::setfill(' ') << "\n";
   return out.str();
 }
 

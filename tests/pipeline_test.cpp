@@ -169,6 +169,20 @@ TEST(QosPipeline, EmptyTrace) {
   EXPECT_TRUE(r.intervals.empty());
 }
 
+// run() checks the whole trace up front: a streaming ingest only checks
+// time order, so a zero-size request or an out-of-range device must still
+// be refused at the in-memory entry.
+TEST(QosPipelineDeathTest, RejectsInvalidTrace) {
+  const DesignTheoretic scheme(design931(), true);
+  auto zero_size = bucket_trace({{0, 0}, {5, 1}});
+  zero_size.events[1].size_blocks = 0;
+  EXPECT_DEATH((void)QosPipeline(scheme, {}).run(zero_size), "valid trace");
+  auto bad_device = bucket_trace({{0, 0}, {5, 1}});
+  bad_device.volumes = 2;
+  bad_device.events[1].device = 2;
+  EXPECT_DEATH((void)QosPipeline(scheme, {}).run(bad_device), "valid trace");
+}
+
 TEST(QosPipeline, ReportsSliceByArrivalInterval) {
   const DesignTheoretic scheme(design931(), true);
   PipelineConfig cfg;
