@@ -4,8 +4,9 @@
 //  (1) sweep sharding: a mixed-configuration job list (the shape
 //      experiment.cpp and the fig/table drivers produce) through
 //      ParallelReplayEngine::run_jobs;
-//  (2) pipelined single replay: one aligned+FIM replay with the mining
-//      stage running ahead of the serial core over the handoff queue.
+//  (2) mined-ahead single replay: one aligned+FIM replay through
+//      ParallelReplayEngine::run, with FIM mining running ahead of the
+//      serial core over the handoff queue.
 // Every parallel result is checked bit-identical to the serial baseline
 // before its time is reported — a fast wrong replay would be worthless.
 //
@@ -83,7 +84,7 @@ int main(int argc, char** argv) {
   const decluster::DesignTheoretic scheme(d, true);
   const auto w = build_jobs(scheme, smoke);
 
-  print_banner("Parallel replay scaling: sharded sweep + pipelined replay");
+  print_banner("Parallel replay scaling: sharded sweep + mined-ahead replay");
   std::printf("host: hardware_concurrency = %u (speedup is bounded by "
               "physical cores, not requested threads)\n",
               std::thread::hardware_concurrency());
@@ -99,7 +100,7 @@ int main(int argc, char** argv) {
   }
   const double serial_sweep = seconds_since(t0);
 
-  // Pipelined-replay baseline: the heaviest aligned+FIM job, serial.
+  // Mined-ahead replay baseline: the heaviest aligned+FIM job, serial.
   core::PipelineConfig pipe_cfg;
   pipe_cfg.retrieval = core::RetrievalMode::kIntervalAligned;
   pipe_cfg.mapping = core::MappingMode::kFim;
@@ -108,8 +109,8 @@ int main(int argc, char** argv) {
   const auto pipe_baseline = core::QosPipeline(scheme, pipe_cfg).run(pipe_trace);
   const double serial_pipe = seconds_since(t1);
 
-  Table table({"threads", "sweep (s)", "sweep speedup", "pipelined (s)",
-               "pipelined speedup"});
+  Table table({"threads", "sweep (s)", "sweep speedup", "mined-ahead (s)",
+               "mined-ahead speedup"});
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     core::ParallelReplayEngine engine({.threads = threads});
 
@@ -132,7 +133,7 @@ int main(int argc, char** argv) {
       }
     }
     if (!verify::results_identical(pipe_baseline, piped, &why)) {
-      std::printf("FAILED: pipelined replay at %zu threads diverged: %s\n",
+      std::printf("FAILED: mined-ahead replay at %zu threads diverged: %s\n",
                   threads, why.c_str());
       return 1;
     }
@@ -142,7 +143,7 @@ int main(int argc, char** argv) {
                    Table::num(pipe_time, 3),
                    Table::num(serial_pipe / pipe_time, 2)});
   }
-  std::printf("serial baseline: sweep %.3f s, pipelined replay %.3f s\n",
+  std::printf("serial baseline: sweep %.3f s, mined-ahead replay %.3f s\n",
               serial_sweep, serial_pipe);
   table.print();
   std::printf("\nall parallel results verified bit-identical to the serial "

@@ -21,10 +21,13 @@
 #      fault-injection chaos audit (--faults: randomized fault plans with
 #      request-conservation, routing, guarantee-reestablishment, and
 #      serial ≡ parallel checks), the streaming-identity audit
-#      (--stream: run_stream ≡ run() — results, metric registry, and
-#      windowed time-series bit-identical at every batch size, through
-#      generator and chunked-file cursors, with a seeded drain-bound
-#      mutation proving the audit can fail), and the daemon-identity
+#      (--stream: run() is run_stream over a VectorCursor, and the audit
+#      proves batch-size and cursor-source invariance — results, metric
+#      registry, and windowed time-series bit-identical at every batch
+#      size, through generator and chunked-file cursors and the parallel
+#      mined-ahead path, with a seeded drain-bound mutation proving the
+#      audit can fail; the golden snapshots in ctest pin the absolute
+#      per-request results), and the daemon-identity
 #      audit (--daemon: results served over a real loopback flashqosd
 #      session field-identical to in-process replay, including
 #      multi-connection interleavings, clamping, and mid-session flushes)

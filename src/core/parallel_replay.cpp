@@ -4,6 +4,7 @@
 #include <exception>
 #include <future>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -23,7 +24,6 @@ struct EngineMetrics {
   obs::LatencyHistogram& handoff_occupancy;
   obs::LatencyHistogram& mine_ns;
   obs::LatencyHistogram& replay_ns;
-  obs::LatencyHistogram& summarize_ns;
 
   static EngineMetrics& get() {
     auto& reg = obs::MetricRegistry::global();
@@ -31,8 +31,7 @@ struct EngineMetrics {
                            reg.counter("parallel.mined_slices"),
                            reg.histogram("parallel.handoff_occupancy"),
                            reg.histogram("parallel.mine_ns"),
-                           reg.histogram("parallel.replay_ns"),
-                           reg.histogram("parallel.summarize_ns")};
+                           reg.histogram("parallel.replay_ns")};
     return m;
   }
 };
@@ -54,45 +53,15 @@ struct MinedSlice {
   std::vector<fim::FrequentPair> pairs;
 };
 
-/// FimSource fed by the handoff queue. Single consumer (the replay core):
-/// pops mined slices in completion order and re-sequences them into
-/// pre-sized slots, blocking until the slice it needs has arrived. A queue
-/// that closes before producing a requested slice means a miner failed;
-/// the error is reported here and the miner's own exception is surfaced by
-/// run_pipelined when it joins the futures.
-class QueueFimSource final : public FimSource {
- public:
-  QueueFimSource(HandoffQueue<MinedSlice>& queue, std::size_t slices)
-      : queue_(queue), slots_(slices), ready_(slices, false) {}
-
-  std::span<const fim::FrequentPair> slice(std::size_t idx) override {
-    FLASHQOS_EXPECT(idx < slots_.size(), "FIM slice index out of range");
-    while (!ready_[idx]) {
-      auto item = queue_.pop();
-      if (!item.has_value()) {
-        throw std::runtime_error("parallel replay: mining stage closed before "
-                                 "producing slice " + std::to_string(idx));
-      }
-      slots_[item->idx] = std::move(item->pairs);
-      ready_[item->idx] = true;
-    }
-    return slots_[idx];
-  }
-
- private:
-  HandoffQueue<MinedSlice>& queue_;
-  std::vector<std::vector<fim::FrequentPair>> slots_;
-  std::vector<bool> ready_;
-};
-
-/// FimSource for the streaming replay core, fed by the producer that mines
-/// ahead of it. Unlike QueueFimSource the slice count is unknown up front,
-/// so arrived slices are keyed by index; the producer emits in slice order
+/// FimSource for the replay core, fed by the producer that mines ahead of
+/// it over the handoff queue. The slice count is unknown up front, so
+/// arrived slices are keyed by index; the producer emits in slice order
 /// and the core consumes in slice order, so the map stays O(lookahead).
-class StreamingQueueFimSource final : public FimSource {
+/// A queue that closes before producing a requested slice means the miner
+/// failed; its own exception surfaces when run_stream joins it.
+class MinedSliceSource final : public FimSource {
  public:
-  explicit StreamingQueueFimSource(HandoffQueue<MinedSlice>& queue)
-      : queue_(queue) {}
+  explicit MinedSliceSource(HandoffQueue<MinedSlice>& queue) : queue_(queue) {}
 
   std::span<const fim::FrequentPair> slice(std::size_t idx) override {
     // Earlier slices are never re-requested (the core mines forward only);
@@ -170,13 +139,11 @@ std::vector<PipelineResult> ParallelReplayEngine::run_jobs(
 PipelineResult ParallelReplayEngine::run(const decluster::AllocationScheme& scheme,
                                          const PipelineConfig& cfg,
                                          const trace::Trace& t) {
-  if (cfg.retrieval == RetrievalMode::kOnline) {
-    // Serial fallback: online dispatch is FCFS with earliest-finish replica
-    // choice — the order requests hit the device clocks *is* the
-    // semantics, so the dispatch stages cannot be decoupled.
-    return QosPipeline(scheme, cfg).run(t);
-  }
-  return run_pipelined(scheme, cfg, t);
+  return run_materialized(t, cfg.qos_interval, [&](const StreamOptions& opts) {
+    return run_stream(
+        scheme, cfg, [&t] { return std::make_unique<trace::VectorCursor>(t); },
+        opts);
+  });
 }
 
 StreamResult ParallelReplayEngine::run_stream(
@@ -191,18 +158,18 @@ StreamResult ParallelReplayEngine::run_stream(
   const bool mine = cfg.retrieval != RetrievalMode::kOnline &&
                     cfg.mapping == MappingMode::kFim && ri > 0;
   if (!mine) {
-    // kOnline keeps the serial path (its FCFS ordering is load-bearing);
-    // modulo mapping / interval-free streams have no mining stage to run
-    // ahead. The serial streaming engine mines inline either way.
+    // Serial fallback. Online dispatch is FCFS with earliest-finish replica
+    // choice — the order requests hit the device clocks *is* the
+    // semantics, so we do not split its stages; modulo mapping and
+    // interval-free streams have no mining stage to run ahead.
     return QosPipeline(scheme, cfg).run_stream(*cursor, nullptr, opts);
   }
 
-  // Producer: an independent pass over the stream (its own cursor), building
-  // each reporting slice's transaction database exactly the way the inline
-  // miner does — transactions cut at QoS-window changes and at slice
-  // boundaries, reads only — then mining and handing the pairs over the
-  // bounded queue. Mining is a pure function of the slice, so mined-ahead
-  // pairs are bit-identical to inline mining.
+  // Producer: an independent pass over the stream (its own cursor), cutting
+  // each reporting slice with the inline miner's SliceTransactionBuilder,
+  // then mining and handing the pairs over the bounded queue. Mining is a
+  // pure function of the slice, so mined-ahead pairs are bit-identical to
+  // inline mining.
   HandoffQueue<MinedSlice> queue(opts_.mining_lookahead);
   std::vector<std::future<void>> miners;
   miners.push_back(pool_.submit_with_future([&] {
@@ -211,26 +178,17 @@ StreamResult ParallelReplayEngine::run_stream(
       FLASHQOS_EXPECT(mine_cursor != nullptr,
                       "cursor factory returned a null cursor");
       std::vector<trace::TraceEvent> buf(opts.batch_size);
-      fim::TransactionDb db;
-      std::vector<fim::Item> tx;
-      std::int64_t window = -1;
+      SliceTransactionBuilder tx(cfg.qos_interval);
       std::size_t slice = 0;
       bool stop = false;
-      const auto flush_tx = [&] {
-        if (!tx.empty()) {
-          db.add(std::move(tx));
-          tx = {};
-        }
-      };
       // Mine and hand off the slice under construction. push() returning
       // false means the replay core finished on a prefix and closed the
       // queue — nothing later can be needed, so the producer stops.
       const auto close_slice = [&] {
-        flush_tx();
-        window = -1;  // a QoS window never straddles a slice boundary
         // flashqos-lint: allow(wall-clock): miner stage-timing metric
         const auto t0 = std::chrono::steady_clock::now();
-        MinedSlice m{slice, fim::mine_pairs_apriori(db, cfg.fim_min_support).pairs};
+        MinedSlice m{slice,
+                     fim::mine_pairs_apriori(tx.take(), cfg.fim_min_support).pairs};
         if (!queue.push(std::move(m))) {
           stop = true;
           return;
@@ -241,21 +199,13 @@ StreamResult ParallelReplayEngine::run_stream(
           em.mine_ns.record(elapsed_ns(t0));
           em.handoff_occupancy.record(static_cast<std::int64_t>(queue.size()));
         }
-        db = fim::TransactionDb{};
         ++slice;
       };
       for (std::size_t n; !stop && (n = mine_cursor->fill(buf)) > 0;) {
         for (std::size_t i = 0; i < n && !stop; ++i) {
-          const auto& e = buf[i];
-          const auto s = static_cast<std::size_t>(e.time / ri);
+          const auto s = static_cast<std::size_t>(buf[i].time / ri);
           while (slice < s && !stop) close_slice();
-          if (stop || !e.is_read) continue;  // the paper mines read requests
-          const std::int64_t w = e.time / cfg.qos_interval;
-          if (w != window) {
-            flush_tx();
-            window = w;
-          }
-          tx.push_back(e.block);
+          if (!stop) tx.add(buf[i]);
         }
       }
       if (!stop) close_slice();  // the slice holding the last event
@@ -266,7 +216,7 @@ StreamResult ParallelReplayEngine::run_stream(
   }));
 
   QosPipeline pipe(scheme, cfg);
-  StreamingQueueFimSource source(queue);
+  MinedSliceSource source(queue);
   StreamResult result;
   // flashqos-lint: allow(wall-clock): replay stage-timing metric
   const auto replay_t0 = std::chrono::steady_clock::now();
@@ -283,79 +233,6 @@ StreamResult ParallelReplayEngine::run_stream(
   join_all(miners, nullptr);
   if constexpr (obs::kEnabled) {
     EngineMetrics::get().replay_ns.record(elapsed_ns(replay_t0));
-  }
-  return result;
-}
-
-PipelineResult ParallelReplayEngine::run_pipelined(
-    const decluster::AllocationScheme& scheme, const PipelineConfig& cfg,
-    const trace::Trace& t) {
-  const auto slices = trace::report_slices(t);
-  const bool mine = cfg.mapping == MappingMode::kFim && t.report_interval > 0 &&
-                    !slices.empty();
-
-  HandoffQueue<MinedSlice> queue(opts_.mining_lookahead);
-  std::vector<std::future<void>> miners;
-  if (mine) {
-    miners.reserve(slices.size());
-    for (std::size_t i = 0; i < slices.size(); ++i) {
-      miners.push_back(pool_.submit_with_future([&, i] {
-        try {
-          // flashqos-lint: allow(wall-clock): miner stage-timing metric
-          const auto t0 = std::chrono::steady_clock::now();
-          MinedSlice m{i, mine_event_range(t, slices[i].first, slices[i].second,
-                                           cfg.qos_interval, cfg.fim_min_support)};
-          // push() returning false means the replay core already finished
-          // (it never needed this slice) and closed the queue — fine.
-          queue.push(std::move(m));
-          if constexpr (obs::kEnabled) {
-            auto& em = EngineMetrics::get();
-            em.mined_slices.inc();
-            em.mine_ns.record(elapsed_ns(t0));
-            em.handoff_occupancy.record(
-                static_cast<std::int64_t>(queue.size()));
-          }
-        } catch (...) {
-          queue.close();  // unblock the consumer; the future carries the error
-          throw;
-        }
-      }));
-    }
-  }
-
-  QosPipeline pipe(scheme, cfg);
-  QueueFimSource source(queue, slices.size());
-  PipelineResult result;
-  // flashqos-lint: allow(wall-clock): replay stage-timing metric
-  const auto replay_t0 = std::chrono::steady_clock::now();
-  try {
-    result = pipe.replay(t, mine ? &source : nullptr);
-  } catch (...) {
-    queue.close();
-    join_all(miners, std::current_exception());
-    throw;  // unreachable: join_all rethrows pending when no worker failed
-  }
-  // The core may consume only a prefix of the slices (the last dispatch
-  // decides); close the queue so miners of unneeded slices stop blocking.
-  queue.close();
-  join_all(miners, nullptr);
-  if constexpr (obs::kEnabled) {
-    EngineMetrics::get().replay_ns.record(elapsed_ns(replay_t0));
-  }
-
-  // Metric stage, sharded: each reporting slice folds into its pre-sized
-  // slot; the fold order inside a slice is the index range, so every
-  // report is bit-identical to the serial finalize path.
-  // flashqos-lint: allow(wall-clock): summarize stage-timing metric
-  const auto summarize_t0 = std::chrono::steady_clock::now();
-  result.intervals.assign(slices.size(), IntervalReport{});
-  parallel_for(pool_, slices.size(), [&](std::size_t i) {
-    result.intervals[i] =
-        summarize_outcome_range(result.outcomes, slices[i].first, slices[i].second);
-  });
-  result.overall = summarize_outcome_range(result.outcomes, 0, result.outcomes.size());
-  if constexpr (obs::kEnabled) {
-    EngineMetrics::get().summarize_ns.record(elapsed_ns(summarize_t0));
   }
   return result;
 }

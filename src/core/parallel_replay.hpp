@@ -11,18 +11,15 @@
 //     framework's own independence structure — per-interval guarantees and
 //     per-array isolation — applied at the experiment level.
 //
-//  2. Stage pipelining (run): a single interval-aligned replay decomposes
-//     into decode → FIM mining → admission → retrieval scheduling →
-//     flashsim → metrics. The decode+mine stage is a pure function of each
-//     reporting slice, so workers mine slices ahead of the replay core and
-//     hand them over a bounded HandoffQueue (interval batches,
-//     re-sequenced into pre-sized slots by slice id); the admission/
-//     scheduling/flashsim stages share the dispatch clock and device free
-//     times, so they stay one serial core on the calling thread; the
-//     metric stage folds per-interval reports into pre-sized slots, one
-//     reporting slice per task. kOnline mode falls back to the plain
-//     serial path: its FCFS dispatch order is load-bearing (§IV-B), and
-//     we do not split a stage whose ordering carries semantics.
+//  2. Mining ahead (run_stream, and run over a materialized trace): FIM
+//     mining is a pure function of each reporting slice, so a pool worker
+//     makes its own pass over the stream, mines each slice and hands it
+//     over a bounded HandoffQueue while the one serial replay core — the
+//     same engine QosPipeline::run_stream runs — consumes slices in order.
+//     Admission, scheduling and flashsim share the dispatch clock and
+//     device free times, so they stay serial. kOnline mode replays fully
+//     serially: its FCFS dispatch order is load-bearing (§IV-B), and we do
+//     not split a stage whose ordering carries semantics.
 //
 // Determinism rules (enforced by verify::verify_replay_equivalence and
 // tests/parallel_replay_test.cpp):
@@ -77,33 +74,27 @@ class ParallelReplayEngine {
   /// is rethrown after every job has finished.
   [[nodiscard]] std::vector<PipelineResult> run_jobs(std::span<const ReplayJob> jobs);
 
-  /// Replay one trace with stage pipelining (see file comment); falls back
-  /// to the serial QosPipeline for RetrievalMode::kOnline. Bit-identical
-  /// to the serial engine in every mode.
+  /// Replay one materialized trace: run_stream over a trace::VectorCursor
+  /// with every outcome materialized (core::run_materialized).
+  /// Bit-identical to QosPipeline::run in every mode.
   [[nodiscard]] PipelineResult run(const decluster::AllocationScheme& scheme,
                                    const PipelineConfig& cfg, const trace::Trace& t);
 
-  /// Streaming twin of run(): replay a cursor stream with the decode+mine
-  /// stage running ahead on a pool worker. The producer opens its *own*
-  /// cursor from `factory` (two independent passes over the stream), builds
-  /// each reporting slice's transaction database incrementally — O(slice)
-  /// memory, never the trace — mines it, and hands the pairs over the
-  /// bounded queue; the serial streaming core consumes them in slice order.
-  /// Falls back to QosPipeline::run_stream inline mining when there is no
-  /// mining stage to run ahead (kOnline ordering is load-bearing, modulo
-  /// mapping and interval-free traces have nothing to mine). Bit-identical
-  /// to the serial streaming path, which is bit-identical to run() on the
-  /// materialized trace (flashqos_verify --stream audits both).
+  /// Replay a cursor stream with the mining stage running ahead on a pool
+  /// worker. The producer opens its *own* cursor from `factory` (two
+  /// independent passes over the stream), cuts each reporting slice into
+  /// transactions incrementally — O(slice) memory, never the trace — mines
+  /// it, and hands the pairs over the bounded queue; the serial core
+  /// consumes them in slice order. Falls back to QosPipeline::run_stream
+  /// inline mining when there is no mining stage to run ahead (kOnline
+  /// ordering is load-bearing, modulo mapping and interval-free traces
+  /// have nothing to mine). Bit-identical to QosPipeline::run_stream.
   [[nodiscard]] StreamResult run_stream(const decluster::AllocationScheme& scheme,
                                         const PipelineConfig& cfg,
                                         const trace::CursorFactory& factory,
                                         const StreamOptions& opts = {});
 
  private:
-  [[nodiscard]] PipelineResult run_pipelined(
-      const decluster::AllocationScheme& scheme, const PipelineConfig& cfg,
-      const trace::Trace& t);
-
   ParallelReplayOptions opts_;
   ThreadPool pool_;
 };

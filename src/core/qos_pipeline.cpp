@@ -144,11 +144,6 @@ obs::EventDetail trace_detail(RetrievalPath path) noexcept {
   return obs::EventDetail::kNone;
 }
 
-/// Post-run observability fold: counters, histograms (including the
-/// per-stage latency attribution), and (when tracing is on) the
-/// per-request arrival → admission → retrieval spans plus one stage slice
-/// per lifecycle segment. Reads the finished outcomes only — it cannot
-/// perturb the replay.
 /// Value→count tally for one histogram, flushed with record_n on scope
 /// exit. Latency multisets here usually hold a few distinct values (fixed
 /// service quanta — the flat line), so a short linear scan beats one
@@ -215,13 +210,11 @@ struct WindowAgg {
 /// add() takes one outcome (trace order) — counters, histogram tallies,
 /// and (when tracing) that request's arrival → admission → retrieval spans
 /// plus one stage slice per lifecycle segment — and publish() writes the
-/// whole-run counter increments. The in-memory path folds the outcomes
-/// vector through it after the replay; the streaming path folds each
-/// request as it leaves the window, so registry content is identical at
-/// any batch size. Streaming caveat: per-request *tracer* records then
-/// interleave with the replay's kInterval records instead of trailing
-/// them; registry snapshots are order-insensitive, and the stream oracle
-/// keeps tracing off while comparing.
+/// whole-run counter increments. The engine folds each request as it
+/// leaves the in-flight window, so registry content is identical at any
+/// batch size. Per-request *tracer* records interleave with the replay's
+/// kInterval records; registry snapshots are order-insensitive, and the
+/// stream oracle keeps tracing off while comparing.
 class OutcomeObsFolder {
  public:
   OutcomeObsFolder()
@@ -340,54 +333,23 @@ class OutcomeObsFolder {
   std::array<std::uint64_t, kPathCount> by_path_{};
 };
 
-void record_outcome_observability(const PipelineResult& result) {
-  OutcomeObsFolder folder;
-  for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
-    folder.add(i, result.outcomes[i]);
-  }
-  folder.publish(result.outcomes.size(), result.deadline_violations);
-}
-
 /// A request waiting for dispatch. Ordered by (dispatch time, seq); seq is
 /// the trace position, so deferred requests keep FIFO priority over newer
 /// arrivals at the same boundary.
 struct Pending {
   SimTime dispatch = 0;
   std::uint64_t seq = 0;
-  std::size_t idx = 0;  // index into trace events / outcomes
+  std::size_t idx = 0;  // ingestion index (the request's window slot)
 
   bool operator>(const Pending& other) const noexcept {
     return dispatch != other.dispatch ? dispatch > other.dispatch : seq > other.seq;
   }
 };
 
-/// Build the FIM transaction database for one reporting-interval slice:
-/// each QoS interval's distinct blocks form one transaction.
-fim::TransactionDb build_transactions(const trace::Trace& t, std::size_t begin,
-                                      std::size_t end, SimTime qos_interval) {
-  fim::TransactionDb db;
-  std::vector<fim::Item> current;
-  std::int64_t current_window = -1;
-  for (std::size_t i = begin; i < end; ++i) {
-    const auto& e = t.events[i];
-    if (!e.is_read) continue;  // the paper mines read requests
-    const std::int64_t w = e.time / qos_interval;
-    if (w != current_window) {
-      if (!current.empty()) db.add(std::move(current));
-      current = {};
-      current_window = w;
-    }
-    current.push_back(e.block);
-  }
-  if (!current.empty()) db.add(std::move(current));
-  return db;
-}
-
 /// Streaming-safe interval summary: add() one outcome at a time (trace
-/// order), finalize() into an IntervalReport. summarize_outcome_range is a
-/// fold over this same struct, so the streaming replay's incremental
-/// reports and the in-memory summarizer go through one accumulation order
-/// and every derived double is bit-identical.
+/// order), finalize() into an IntervalReport. The engine's incremental
+/// reports and replay_original's summarizer go through this one
+/// accumulation order.
 struct OutcomeFold {
   IntervalReport r;
   Accumulator resp, e2e, delay, write_ms;
@@ -434,24 +396,12 @@ struct OutcomeFold {
   }
 };
 
-}  // namespace
-
-std::vector<fim::FrequentPair> mine_event_range(const trace::Trace& t,
-                                                std::size_t begin, std::size_t end,
-                                                SimTime qos_interval,
-                                                std::uint64_t min_support) {
-  const auto db = build_transactions(t, begin, end, qos_interval);
-  return fim::mine_pairs_apriori(db, min_support).pairs;
-}
-
 IntervalReport summarize_outcome_range(std::span<const RequestOutcome> outcomes,
                                        std::size_t begin, std::size_t end) {
   OutcomeFold fold;
   for (std::size_t i = begin; i < end; ++i) fold.add(outcomes[i]);
   return fold.finalize();
 }
-
-namespace {
 
 void finalize_reports(PipelineResult& result, const trace::Trace& t) {
   const auto slices = trace::report_slices(t);
@@ -466,6 +416,15 @@ void finalize_reports(PipelineResult& result, const trace::Trace& t) {
 }
 
 }  // namespace
+
+std::vector<fim::FrequentPair> mine_event_range(const trace::Trace& t,
+                                                std::size_t begin, std::size_t end,
+                                                SimTime qos_interval,
+                                                std::uint64_t min_support) {
+  SliceTransactionBuilder slice(qos_interval);
+  for (std::size_t i = begin; i < end; ++i) slice.add(t.events[i]);
+  return fim::mine_pairs_apriori(slice.take(), min_support).pairs;
+}
 
 std::vector<std::string> PipelineConfig::validate(std::uint32_t devices) const {
   std::vector<std::string> out;
@@ -556,9 +515,48 @@ QosPipeline::QosPipeline(const decluster::AllocationScheme& scheme, PipelineConf
                   "invalid pipeline configuration (diagnostics on stderr)");
 }
 
-PipelineResult QosPipeline::run(const trace::Trace& t, FimSource* fim) {
-  auto result = replay(t, fim);
-  finalize_reports(result, t);
+PipelineResult QosPipeline::run(const trace::Trace& t) {
+  return run_materialized(t, cfg_.qos_interval, [&](const StreamOptions& opts) {
+    trace::VectorCursor cursor(t);
+    return run_stream(cursor, nullptr, opts);
+  });
+}
+
+namespace {
+
+/// Writes each outcome into its trace position of a pre-sized vector.
+class MaterializingSink final : public OutcomeSink {
+ public:
+  explicit MaterializingSink(std::vector<RequestOutcome>& outcomes)
+      : outcomes_(outcomes) {}
+  void on_outcome(std::uint64_t seq, const trace::TraceEvent& /*ev*/,
+                  const RequestOutcome& out) override {
+    outcomes_[seq] = out;
+  }
+
+ private:
+  std::vector<RequestOutcome>& outcomes_;
+};
+
+}  // namespace
+
+PipelineResult run_materialized(
+    const trace::Trace& t, SimTime qos_interval,
+    const std::function<StreamResult(const StreamOptions&)>& stream) {
+  PipelineResult result;
+  if (t.events.empty()) return result;
+  // The streaming ingest checks time order only; device range and request
+  // size are checked here, over the whole trace, before anything runs.
+  FLASHQOS_EXPECT(trace::valid_trace(t), "pipeline input must be a valid trace");
+  result.outcomes.resize(t.events.size());
+  MaterializingSink sink(result.outcomes);
+  auto s = stream({.horizon = t.events.back().time + qos_interval, .sink = &sink});
+  FLASHQOS_EXPECT(s.requests == t.events.size(),
+                  "materialized replay must consume the whole trace");
+  result.intervals = std::move(s.intervals);
+  result.overall = s.overall;
+  result.deadline_violations = s.deadline_violations;
+  result.tenant_usage = std::move(s.tenant_usage);
   return result;
 }
 
@@ -575,12 +573,12 @@ inline constexpr std::uint64_t kBackgroundIdBase = std::uint64_t{1} << 62;
 /// reaches it: recovery retries and boundary wakes are finite times).
 inline constexpr SimTime kDrainAll = std::numeric_limits<SimTime>::max();
 
-/// One in-flight request of a streaming replay: the event, its outcome,
-/// its WFQ lifecycle state, and how close it is to the result fold.
-/// st: 0 = awaiting dispatch, 1 = dispatched to the simulator (awaiting
-/// the completion cross-check), 2 = final (verified / failed / shed /
-/// write). The window pops slots from the front as they reach 2, so
-/// resident memory tracks the in-flight span, not the trace length.
+/// One in-flight request: the event, its outcome, its WFQ lifecycle
+/// state, and how close it is to the result fold. st: 0 = awaiting
+/// dispatch, 1 = dispatched to the simulator (awaiting the completion
+/// cross-check), 2 = final (verified / failed / shed / write). The window
+/// pops slots from the front as they reach 2, so resident memory tracks
+/// the in-flight span, not the trace length.
 struct StreamSlot {
   trace::TraceEvent ev;
   RequestOutcome out;
@@ -588,7 +586,45 @@ struct StreamSlot {
   std::uint8_t st = 0;
 };
 
-/// Wall-clock nanoseconds since `t0`, for the streaming stage histograms.
+/// The in-flight window: slots for requests [base(), end()), addressed by
+/// ingestion index. A power-of-two ring that doubles when full, so steady
+/// state ingests and pops without allocating (a deque of these ~100-byte
+/// slots would allocate a node every few requests).
+class SlotWindow {
+ public:
+  [[nodiscard]] StreamSlot& operator[](std::uint64_t seq) {
+    return slots_[seq & mask_];
+  }
+  [[nodiscard]] std::uint64_t base() const noexcept { return base_; }
+  [[nodiscard]] std::uint64_t end() const noexcept { return end_; }
+  [[nodiscard]] bool empty() const noexcept { return base_ == end_; }
+  void pop_front() { ++base_; }
+
+  void push_back(const trace::TraceEvent& e) {
+    if (end_ - base_ == slots_.size()) grow();
+    auto& s = slots_[end_++ & mask_];
+    s = StreamSlot{e, RequestOutcome{}, 0, 0};
+    s.out.arrival = e.time;
+  }
+
+ private:
+  void grow() {
+    std::vector<StreamSlot> next(std::max<std::size_t>(64, 2 * slots_.size()));
+    const std::uint64_t next_mask = next.size() - 1;
+    for (auto seq = base_; seq < end_; ++seq) {
+      next[seq & next_mask] = slots_[seq & mask_];
+    }
+    slots_.swap(next);
+    mask_ = next_mask;
+  }
+
+  std::vector<StreamSlot> slots_;
+  std::uint64_t mask_ = 0;
+  std::uint64_t base_ = 0;
+  std::uint64_t end_ = 0;
+};
+
+/// Wall-clock nanoseconds since `t0`, for the ingest/drain stage histograms.
 [[nodiscard]] std::int64_t stream_elapsed_ns(
     // flashqos-lint: allow(wall-clock): stage-timing metric, never a result
     std::chrono::steady_clock::time_point t0) {
@@ -598,24 +634,17 @@ struct StreamSlot {
       .count();
 }
 
-/// The replay core, shared verbatim by the in-memory and streaming entry
-/// points. One instance is one replay.
+/// The replay core behind QosPipeline::run_stream (and so run()). One
+/// instance is one replay.
 ///
-/// In-memory (run_borrowed): events and outcomes are borrowed from the
-/// Trace / PipelineResult, every event is ingested up front, and one
-/// drain(kDrainAll) pops the whole dispatch queue — operation for
-/// operation the historical monolithic loop.
-///
-/// Streaming (run_streaming): events arrive in cursor batches. After each
-/// batch the engine drains dispatch instants *strictly before* the last
-/// ingested arrival time: the cursor contract says every unread arrival is
-/// at or after that time, so no same-instant dispatch group popped under
-/// the bound can ever gain a member from unread input — which is the whole
-/// identity argument. Outcomes live in a base-indexed sliding window and
-/// fold into per-interval / overall reports (and the observability
-/// registry) in trace order as their slots reach the final state, so the
-/// folds see outcomes in exactly the order the in-memory summarizer scans
-/// them and every derived double is bit-identical.
+/// Events arrive in cursor batches. After each batch the engine drains
+/// dispatch instants *strictly before* the last ingested arrival time: the
+/// cursor contract says every unread arrival is at or after that time, so
+/// no same-instant dispatch group popped under the bound can ever gain a
+/// member from unread input — which is why the batch size cannot change
+/// the result. Outcomes live in a sliding window and fold into
+/// per-interval / overall reports (and the observability registry) in
+/// trace order as their slots reach the final state.
 class ReplayEngine {
  public:
   ReplayEngine(const decluster::AllocationScheme& scheme, const PipelineConfig& cfg,
@@ -630,49 +659,19 @@ class ReplayEngine {
         matcher_(scheme),
         tenant_mode_(!cfg.tenants.empty()) {}
 
-  PipelineResult run_borrowed(const trace::Trace& t, FimSource* fim) {
-    PipelineResult result;
-    result.outcomes.resize(t.events.size());
-    if (t.events.empty()) return result;
-    FLASHQOS_EXPECT(trace::valid_trace(t), "pipeline input must be a valid trace");
-    t_ = &t;
-    result_ = &result;
-    report_interval_ = t.report_interval;
-    init(t.events.back().time + T_, /*streaming=*/false, fim);
-    slices_ = trace::report_slices(t);
-    if (tenant_mode_) tstate_.assign(t.events.size(), 0);
-
-    // Seed the dispatch queue. Online mode dispatches at arrival; aligned
-    // mode at the enclosing interval boundary (requests already exactly on
-    // a boundary run in that interval, matching the paper's synthetic
-    // setup).
-    for (std::size_t i = 0; i < t.events.size(); ++i) {
-      const SimTime arrival = t.events[i].time;
-      const SimTime dispatch = cfg_.retrieval == RetrievalMode::kOnline
-                                   ? arrival
-                                   : next_interval_start(arrival, T_);
-      queue_.push(Pending{dispatch, i, i});
-      result.outcomes[i].arrival = arrival;
-    }
-    drain(kDrainAll);
-    finish_borrowed();
-    return result;
-  }
-
-  StreamResult run_streaming(trace::TraceCursor& cursor, FimSource* fim,
-                             const StreamOptions& opts) {
+  StreamResult run(trace::TraceCursor& cursor, FimSource* fim,
+                   const StreamOptions& opts) {
     FLASHQOS_EXPECT(opts.batch_size > 0, "stream batch size must be positive");
     report_interval_ = cursor.meta().report_interval;
     keep_intervals_ = opts.keep_intervals;
     StreamResult res;
     // Pull the first batch before any engine setup so an empty stream
-    // returns an empty result with no registry side effects, exactly like
-    // the in-memory early-out on an empty trace.
+    // returns an empty result with no registry side effects.
     std::vector<trace::TraceEvent> buf(opts.batch_size);
     std::size_t n = cursor.fill(buf);
     while (n == 0) {
-      // Finite cursors are done (the historical early-out); a live cursor
-      // that is merely idle blocks in fill() until input or close.
+      // Finite cursors are done; a live cursor that is merely idle blocks
+      // in fill() until input or close.
       if (cursor.exhausted()) return res;
       n = cursor.fill(buf);
     }
@@ -682,7 +681,7 @@ class ReplayEngine {
                       "StreamOptions::horizon (the fault schedule compiles "
                       "before the trace length is known)");
     }
-    init(opts.horizon, /*streaming=*/true, fim);
+    init(opts.horizon, fim);
     sink_ = opts.sink;
     obs::LatencyHistogram* ingest_ns = nullptr;
     obs::LatencyHistogram* drain_ns = nullptr;
@@ -740,39 +739,25 @@ class ReplayEngine {
     }
     finish_ingest();
     drain(kDrainAll);
-    return finish_streaming();
+    return finish();
   }
 
  private:
-  // ---- mode indirection --------------------------------------------------
-  // Request state lives in the borrowed trace/result in in-memory mode and
-  // in the sliding window in streaming mode; everything below the accessors
-  // is mode-blind.
+  // ---- request state (in-flight window) ------------------------------------
 
-  [[nodiscard]] const trace::TraceEvent& ev(std::size_t i) const {
-    return streaming_ ? win_[i - win_base_].ev : t_->events[i];
-  }
-  [[nodiscard]] RequestOutcome& out(std::size_t i) {
-    return streaming_ ? win_[i - win_base_].out : result_->outcomes[i];
-  }
-  [[nodiscard]] std::uint8_t& tst(std::size_t i) {
-    return streaming_ ? win_[i - win_base_].tstate : tstate_[i];
-  }
+  [[nodiscard]] const trace::TraceEvent& ev(std::size_t i) { return win_[i].ev; }
+  [[nodiscard]] RequestOutcome& out(std::size_t i) { return win_[i].out; }
+  [[nodiscard]] std::uint8_t& tst(std::size_t i) { return win_[i].tstate; }
   /// The request reached a final state with no pending simulator
   /// cross-check (failed / shed / write).
-  void mark_final(std::size_t i) {
-    if (streaming_) win_[i - win_base_].st = 2;
-  }
+  void mark_final(std::size_t i) { win_[i].st = 2; }
   /// The request was submitted to the simulator; final once its completion
   /// is cross-checked in absorb_completions().
-  void mark_dispatched(std::size_t i) {
-    if (streaming_) win_[i - win_base_].st = 1;
-  }
+  void mark_dispatched(std::size_t i) { win_[i].st = 1; }
 
   // ---- setup -------------------------------------------------------------
 
-  void init(SimTime horizon, bool streaming, FimSource* fim) {
-    streaming_ = streaming;
+  void init(SimTime horizon, FimSource* fim) {
     fim_ = fim;
     if (cfg_.admission == AdmissionMode::kStatistical) {
       stat_.emplace(cfg_.p_table, det_.limit(), cfg_.epsilon);
@@ -826,7 +811,7 @@ class ReplayEngine {
           slo_tallies_.push_back({spec.kind, spec.threshold_ns, tid, 0, 0});
         }
       }
-      if (streaming_) obs_folder_.emplace();
+      obs_folder_.emplace();
     }
 
     // Fault state. The compiled plan is a pure function of (plan, scheme,
@@ -850,75 +835,57 @@ class ReplayEngine {
     }
   }
 
-  // ---- streaming ingestion -----------------------------------------------
+  // ---- ingestion ---------------------------------------------------------
 
   void ingest_event(const trace::TraceEvent& e) {
     FLASHQOS_EXPECT(e.time >= last_time_ && e.time >= 0,
                     "stream cursor must yield time-sorted events");
     last_time_ = e.time;
-    const auto idx = static_cast<std::size_t>(ingested_++);
-    win_.push_back(StreamSlot{e, RequestOutcome{}, 0, 0});
-    win_.back().out.arrival = e.time;
+    const auto idx = static_cast<std::size_t>(win_.end());
+    win_.push_back(e);
+    // Online mode dispatches at arrival; aligned mode at the enclosing
+    // interval boundary (requests already exactly on a boundary run in
+    // that interval, matching the paper's synthetic setup).
     const SimTime dispatch = cfg_.retrieval == RetrievalMode::kOnline
                                  ? e.time
                                  : next_interval_start(e.time, T_);
     queue_.push(Pending{dispatch, idx, idx});
-    if (cfg_.mapping == MappingMode::kFim && report_interval_ > 0 &&
-        fim_ == nullptr) {
-      ingest_fim(e);
-    }
+    if (mines_inline()) ingest_fim(e);
   }
 
   /// Incremental build of the per-reporting-slice FIM transaction
-  /// databases — the streaming twin of build_transactions(): transactions
-  /// cut at QoS-window changes AND at slice boundaries, reads only, block
-  /// ids in event order. A slice's database is complete once any event of
-  /// a later slice has been ingested (events are time-sorted), which the
-  /// drain bound guarantees before the mapper ever asks for it.
+  /// databases. A slice's database is complete once any event of a later
+  /// slice has been ingested (events are time-sorted), which the drain
+  /// bound guarantees before the mapper ever asks for it.
   void ingest_fim(const trace::TraceEvent& e) {
-    if (slice_dbs_.empty()) slice_dbs_.emplace_back();
     const auto s = static_cast<std::size_t>(e.time / report_interval_);
     while (fim_slice_ < s) close_fim_slice();
-    if (!e.is_read) return;  // the paper mines read requests
-    const std::int64_t w = e.time / T_;
-    if (w != fim_window_) {
-      flush_fim_tx();
-      fim_window_ = w;
-    }
-    fim_tx_.push_back(e.block);
-  }
-
-  void flush_fim_tx() {
-    if (!fim_tx_.empty()) {
-      slice_dbs_.back().add(std::move(fim_tx_));
-      fim_tx_ = {};
-    }
+    fim_tx_.add(e);
   }
 
   void close_fim_slice() {
-    flush_fim_tx();
-    fim_window_ = -1;  // a window never straddles a slice boundary
-    slice_dbs_.emplace_back();
+    slice_dbs_.push_back(fim_tx_.take());
     ++fim_slice_;
+  }
+
+  [[nodiscard]] bool mines_inline() const {
+    return cfg_.mapping == MappingMode::kFim && report_interval_ > 0 &&
+           fim_ == nullptr;
   }
 
   /// Close every FIM slice that ends at or below the drain bound: events
   /// already ingested are <= last_time_ and unread ones are >= the cursor
   /// frontier, so such a slice can never gain another transaction. For
   /// finite cursors (frontier 0) the bound is the last ingested arrival
-  /// and ingestion has already closed those slices — a strict no-op, which
-  /// is what keeps the historical streaming path bit-identical. Only a
-  /// live cursor whose frontier outruns its events closes (possibly
+  /// and ingestion has already closed those slices — a strict no-op. Only
+  /// a live cursor whose frontier outruns its events closes (possibly
   /// empty) slices here; if such a stream ends before events reach the
-  /// frontier, mining may have seen empty slices the in-memory
-  /// materialization would not contain, so live producers that need exact
-  /// replay identity must keep the frontier at or below the final event
-  /// time (the daemon oracle does).
+  /// frontier, mining may have seen empty slices the materialized trace
+  /// would not contain, so live producers that need exact replay identity
+  /// must keep the frontier at or below the final event time (the daemon
+  /// oracle does). Called only after a non-empty batch was ingested.
   void advance_fim_frontier(SimTime bound) {
-    if (cfg_.mapping != MappingMode::kFim || report_interval_ == 0 ||
-        fim_ != nullptr || slice_dbs_.empty()) {
-      return;
-    }
+    if (!mines_inline()) return;
     while (static_cast<SimTime>(fim_slice_ + 1) * report_interval_ <= bound) {
       close_fim_slice();
     }
@@ -934,43 +901,36 @@ class ReplayEngine {
     return db;
   }
 
-  /// End of stream: flush the trailing transaction and fix the reporting
-  /// slice count, after which drain(kDrainAll) may mine every slice.
+  /// End of stream: close the trailing slice and fix the reporting slice
+  /// count, after which drain(kDrainAll) may mine every slice. Before EOF
+  /// the rollover target now/RI can never overshoot the ingested prefix
+  /// (now is strictly below the last ingested arrival), so the cap only
+  /// binds once the stream length is known.
   void finish_ingest() {
-    if (!slice_dbs_.empty()) flush_fim_tx();
+    if (mines_inline()) close_fim_slice();
     slices_total_ = report_interval_ > 0
                         ? static_cast<std::size_t>(last_time_ / report_interval_) + 1
                         : 0;
-    eof_ = true;
+    mine_limit_ = slices_total_;
   }
 
-  /// Reporting slices the FIM rollover may mine right now. Pre-EOF the
-  /// rollover target now/RI can never overshoot the ingested prefix (now
-  /// is strictly below the last ingested arrival), so the cap only has to
-  /// bind once the stream length is known.
-  [[nodiscard]] std::size_t total_slices() const {
-    if (!streaming_) return slices_.size();
-    return eof_ ? slices_total_ : std::numeric_limits<std::size_t>::max();
-  }
-
-  // ---- streaming result fold ---------------------------------------------
+  // ---- result fold -------------------------------------------------------
 
   /// Cross-check the simulator's completions against the dispatch model
-  /// (the same assertion the in-memory path runs once at the end) and pop
-  /// every finalized slot off the window front, folding outcomes into the
-  /// reports and the observability registry in trace order.
+  /// and pop every finalized slot off the window front, folding outcomes
+  /// into the reports and the observability registry in trace order.
   void absorb_completions() {
-    for (const auto& c : array_->take_completions()) {
+    array_->take_completions(completions_);
+    for (const auto& c : completions_) {
       if (c.id >= kBackgroundIdBase) continue;  // write replica / rebuild op
-      auto& s = win_[c.id - win_base_];
+      auto& s = win_[c.id];
       FLASHQOS_ASSERT(s.out.start == c.start && s.out.finish == c.finish,
                       "pipeline dispatch model diverged from the simulator");
       s.st = 2;
     }
-    while (!win_.empty() && win_.front().st == 2) {
-      fold_outcome(win_base_, win_.front());
+    while (!win_.empty() && win_[win_.base()].st == 2) {
+      fold_outcome(win_.base(), win_[win_.base()]);
       win_.pop_front();
-      ++win_base_;
     }
   }
 
@@ -994,7 +954,7 @@ class ReplayEngine {
   void drain(SimTime bound) {
     while (!queue_.empty() && queue_.top().dispatch < bound) {
       process_group();
-      if (streaming_) absorb_completions();
+      absorb_completions();
     }
   }
 
@@ -1047,7 +1007,7 @@ class ReplayEngine {
   /// from a P_k table sampled on the degraded array. Recomputed whenever
   /// the down-set changes; tables are memoized per mask.
   void update_budgets() {
-    if (down_mask_.empty()) {
+    if (live_mask_.empty()) {
       det_limit_now_ = det_.limit();
       if (stat_.has_value()) stat_->set_budget(det_.limit(), cfg_.p_table);
       if (tenant_mode_) ts_->set_live_budget(det_limit_now_);
@@ -1058,7 +1018,7 @@ class ReplayEngine {
       std::uint32_t dead = 0;
       std::uint32_t alive = 0;
       for (const auto d : scheme_.replicas(b)) {
-        if (down_mask_[d]) {
+        if (live_mask_[d]) {
           ++alive;
         } else {
           ++dead;
@@ -1069,7 +1029,7 @@ class ReplayEngine {
     const std::uint32_t c_eff = scheme_.copies() > f ? scheme_.copies() - f : 1;
     det_limit_now_ = design::guarantee_buckets(c_eff, cfg_.access_budget);
     if (stat_.has_value()) {
-      auto [it, fresh] = degraded_tables_.try_emplace(down_mask_);
+      auto [it, fresh] = degraded_tables_.try_emplace(live_mask_);
       if (fresh) {
         const auto max_k = static_cast<std::uint32_t>(cfg_.p_table.size() - 1);
         it->second = sample_optimal_probabilities(
@@ -1077,7 +1037,7 @@ class ReplayEngine {
             {.samples_per_size = cfg_.p_table_samples,
              .seed = cfg_.p_table_seed,
              .threads = 1},
-            down_mask_);
+            live_mask_);
       }
       stat_->set_budget(det_limit_now_, it->second);
     }
@@ -1162,9 +1122,8 @@ class ReplayEngine {
   }
 
   /// One same-instant dispatch group: pop it, roll the FIM/QoS intervals
-  /// forward, and run the admission/scheduling paths. Exactly the body of
-  /// the historical monolithic while-loop, with locals promoted to members
-  /// so a streaming replay can interleave ingestion between groups.
+  /// forward, and run the admission/scheduling paths. Loop state lives in
+  /// members so ingestion can interleave between groups.
   void process_group() {
     const SimTime now = queue_.top().dispatch;
     group_.clear();
@@ -1186,18 +1145,14 @@ class ReplayEngine {
     // current interval for mining").
     if (cfg_.mapping == MappingMode::kFim && report_interval_ > 0) {
       const auto target = static_cast<std::size_t>(now / report_interval_);
-      while (report_idx_ < target && report_idx_ < total_slices()) {
+      while (report_idx_ < target && report_idx_ < mine_limit_) {
         if (fim_ != nullptr) {
           mapper_.rebuild(fim_->slice(report_idx_));
-        } else if (streaming_) {
+        } else {
           mapper_.rebuild(
               fim::mine_pairs_apriori(take_slice_db(report_idx_),
                                       cfg_.fim_min_support)
                   .pairs);
-        } else {
-          const auto [begin, end] = slices_[report_idx_];
-          mapper_.rebuild(
-              mine_event_range(*t_, begin, end, T_, cfg_.fim_min_support));
         }
         ++report_idx_;
       }
@@ -1280,8 +1235,8 @@ class ReplayEngine {
       } else {
         available_ = mask_scratch_;
       }
-      if (available_ != down_mask_) {
-        down_mask_ = available_;
+      if (available_ != live_mask_) {
+        live_mask_ = available_;
         update_budgets();
       }
       if (down > 0) {
@@ -1831,8 +1786,8 @@ class ReplayEngine {
 
   // ---- finish ------------------------------------------------------------
 
-  /// Per-replay registry publication shared by both modes: the final open
-  /// window, the loop tallies, fault accounting, per-tenant WFQ counters.
+  /// Per-replay registry publication: the final open window, the loop
+  /// tallies, fault accounting, per-tenant WFQ counters.
   void publish_run_metrics() {
     if (current_qi_ >= 0) flush_windows(current_qi_);
     auto& m = PipelineMetrics::get();
@@ -1872,39 +1827,7 @@ class ReplayEngine {
     }
   }
 
-  void finish_borrowed() {
-    PipelineResult& result = *result_;
-    if (stat_.has_value()) stat_->end_interval(demand_, admitted_);
-    if (tenant_mode_) {
-      FLASHQOS_ASSERT(!ts_->backlogged(),
-                      "tenant backlog must drain before the replay ends");
-      result.tenant_usage.resize(ts_->tenants());
-      for (std::size_t k = 0; k < ts_->tenants(); ++k) {
-        result.tenant_usage[k] = ts_->usage(k);
-      }
-    }
-
-    array_->run();
-    for (const auto& c : array_->take_completions()) {
-      if (c.id >= result.outcomes.size()) continue;  // per-replica write op
-      auto& o = result.outcomes[c.id];
-      FLASHQOS_ASSERT(o.start == c.start && o.finish == c.finish,
-                      "pipeline dispatch model diverged from the simulator");
-      o.start = c.start;
-      o.finish = c.finish;
-    }
-
-    for (const auto& o : result.outcomes) {
-      if (o.failed || o.is_write) continue;
-      if (o.response() > cfg_.qos_interval) ++result.deadline_violations;
-    }
-    if constexpr (obs::kEnabled) {
-      publish_run_metrics();
-      record_outcome_observability(result);
-    }
-  }
-
-  StreamResult finish_streaming() {
+  StreamResult finish() {
     if (stat_.has_value()) stat_->end_interval(demand_, admitted_);
     StreamResult res;
     if (tenant_mode_) {
@@ -1921,11 +1844,11 @@ class ReplayEngine {
                     "every request must reach a final state by end of stream");
     if constexpr (obs::kEnabled) {
       publish_run_metrics();
-      obs_folder_->publish(static_cast<std::size_t>(ingested_),
+      obs_folder_->publish(static_cast<std::size_t>(win_.end()),
                           deadline_violations_);
       obs_folder_.reset();  // flushes the histogram tallies
     }
-    res.requests = ingested_;
+    res.requests = win_.end();
     res.deadline_violations = deadline_violations_;
     if (report_interval_ > 0 && keep_intervals_) {
       if (interval_folds_.size() < slices_total_) {
@@ -1950,36 +1873,28 @@ class ReplayEngine {
   DeterministicAdmission det_;
   SlotMatcher matcher_;  // persists across instants; begin_instant() re-arms
   const bool tenant_mode_;
-  bool streaming_ = false;
   bool keep_intervals_ = true;
   FimSource* fim_ = nullptr;
   OutcomeSink* sink_ = nullptr;
   SimTime report_interval_ = 0;
 
-  // ---- in-memory mode ----------------------------------------------------
-  const trace::Trace* t_ = nullptr;
-  PipelineResult* result_ = nullptr;
-  std::vector<std::pair<std::size_t, std::size_t>> slices_;
-  std::vector<std::uint8_t> tstate_;
-
-  // ---- streaming mode ----------------------------------------------------
-  std::deque<StreamSlot> win_;   // slots for requests [win_base_, ingested_)
-  std::uint64_t win_base_ = 0;
-  std::uint64_t ingested_ = 0;
+  // ---- ingestion and result fold -------------------------------------------
+  SlotWindow win_;               // in-flight requests, by ingestion index
+  std::vector<flashsim::IoCompletion> completions_;  // reused every instant
   SimTime last_time_ = 0;        // arrival time of the last ingested event
-  bool eof_ = false;
   std::size_t slices_total_ = 0;
+  /// Reporting slices the FIM rollover may mine: unbounded until EOF.
+  std::size_t mine_limit_ = std::numeric_limits<std::size_t>::max();
   std::deque<fim::TransactionDb> slice_dbs_;  // slices [slice_db_base_, ...]
   std::size_t slice_db_base_ = 0;
-  std::size_t fim_slice_ = 0;    // slice the ingest builder is filling
-  std::vector<fim::Item> fim_tx_;
-  std::int64_t fim_window_ = -1;
+  std::size_t fim_slice_ = 0;    // slice fim_tx_ is filling
+  SliceTransactionBuilder fim_tx_{cfg_.qos_interval};
   OutcomeFold overall_fold_;
   std::vector<OutcomeFold> interval_folds_;
   std::optional<OutcomeObsFolder> obs_folder_;
   std::size_t deadline_violations_ = 0;
 
-  // ---- replay state (both modes) ------------------------------------------
+  // ---- replay state --------------------------------------------------------
   std::optional<StatisticalAdmission> stat_;
   std::optional<TenantScheduler> ts_;
   std::vector<bool> tenant_blocked_;
@@ -2019,7 +1934,9 @@ class ReplayEngine {
   bool faults_active_ = false;
   SimTime retry_timeout_ = 0;
   std::uint64_t det_limit_now_ = 0;
-  std::vector<bool> down_mask_;     // empty = all devices up
+  /// Availability mask of the last dispatch instant, as fill_availability
+  /// writes it: true = up. Empty = all devices up.
+  std::vector<bool> live_mask_;
   std::vector<bool> mask_scratch_;
   std::map<std::vector<bool>, std::vector<double>> degraded_tables_;
   std::uint64_t retries_tally_ = 0;
@@ -2062,15 +1979,10 @@ class ReplayEngine {
 
 }  // namespace
 
-PipelineResult QosPipeline::replay(const trace::Trace& t, FimSource* fim) {
-  ReplayEngine engine(scheme_, cfg_, retriever_);
-  return engine.run_borrowed(t, fim);
-}
-
 StreamResult QosPipeline::run_stream(trace::TraceCursor& cursor, FimSource* fim,
                                      const StreamOptions& opts) {
   ReplayEngine engine(scheme_, cfg_, retriever_);
-  return engine.run_streaming(cursor, fim, opts);
+  return engine.run(cursor, fim, opts);
 }
 
 PipelineResult replay_original(const trace::Trace& t, SimTime service_time,
@@ -2094,7 +2006,9 @@ PipelineResult replay_original(const trace::Trace& t, SimTime service_time,
     result.outcomes[i].device = e.device;
   }
   array.run();
-  for (const auto& c : array.take_completions()) {
+  std::vector<flashsim::IoCompletion> completions;
+  array.take_completions(completions);
+  for (const auto& c : completions) {
     result.outcomes[c.id].start = c.start;
     result.outcomes[c.id].finish = c.finish;
   }

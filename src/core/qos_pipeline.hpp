@@ -23,9 +23,11 @@
 //  * end-to-end     = finish − arrival (reported for completeness).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/admission.hpp"
@@ -202,7 +204,8 @@ struct PipelineResult {
 /// ingestion index, strictly increasing), at the moment the outcome folds
 /// into the reports — which is exactly when the engine guarantees no field
 /// can change again. This is how the service facade routes completions
-/// back to live clients without materializing an outcomes vector. The
+/// back to live clients without materializing an outcomes vector, and how
+/// run() materializes one (run_materialized). The
 /// callback runs on the replay thread; implementations must not re-enter
 /// the pipeline.
 class OutcomeSink {
@@ -212,7 +215,7 @@ class OutcomeSink {
                           const RequestOutcome& out) = 0;
 };
 
-/// Options for the streaming replay path (QosPipeline::run_stream).
+/// Options for the replay path (QosPipeline::run_stream).
 struct StreamOptions {
   /// Events pulled from the cursor per fill() call. Any positive value
   /// yields bit-identical results (the engine's read-ahead rule is
@@ -221,9 +224,9 @@ struct StreamOptions {
   std::size_t batch_size = 4096;
   /// Fault-schedule compile horizon. A streaming replay does not know the
   /// trace duration up front, so configs with a non-empty fault plan must
-  /// pass the horizon the in-memory path derives (trace duration +
-  /// qos_interval) to materialize the identical schedule. Ignored (may
-  /// stay 0) when the fault plan is empty.
+  /// pass the horizon run() derives (trace duration + qos_interval) to
+  /// materialize the identical schedule. Ignored (may stay 0) when the
+  /// fault plan is empty.
   SimTime horizon = 0;
   /// Retain per-reporting-interval reports (`StreamResult::intervals`).
   /// They are the one result component that grows with trace duration
@@ -257,10 +260,10 @@ struct StreamResult {
 /// Serves the per-reporting-slice FIM mining results to the replay loop
 /// (the decode→mine stage of the replay pipeline, factored out so it can
 /// run ahead of the serial core). The serial engine mines inline; the
-/// parallel engine hands mined slices over a bounded queue and blocks in
-/// slice() until the one it needs arrives. Because mining is a pure
-/// function of the trace slice (see mine_event_range), a mined-ahead run
-/// is bit-identical to an inline run.
+/// parallel engine mines on a pool worker and hands slices over a bounded
+/// queue, blocking in slice() until the one it needs arrives. Because
+/// mining is a pure function of the trace slice, a mined-ahead run is
+/// bit-identical to an inline run.
 class FimSource {
  public:
   virtual ~FimSource() = default;
@@ -269,20 +272,49 @@ class FimSource {
   [[nodiscard]] virtual std::span<const fim::FrequentPair> slice(std::size_t idx) = 0;
 };
 
-/// Mine events [begin, end) of `t`: each QoS interval's distinct read
-/// blocks form one transaction, returned pairs have support >=
-/// min_support. Pure and deterministic — the property the parallel replay
-/// engine's bit-identical guarantee rests on.
+/// Cuts one reporting slice of events into the FIM transaction database:
+/// each QoS interval's distinct read blocks form one transaction (the
+/// paper mines read requests). Callers feed a slice's events in time
+/// order and take() it at the slice boundary; a QoS window never straddles
+/// that boundary. mine_event_range, the streaming ingest and the parallel
+/// mining stage all cut slices through this one builder.
+class SliceTransactionBuilder {
+ public:
+  explicit SliceTransactionBuilder(SimTime qos_interval) : T_(qos_interval) {}
+
+  void add(const trace::TraceEvent& e) {
+    if (!e.is_read) return;
+    const std::int64_t w = e.time / T_;
+    if (w != window_) {
+      flush();
+      window_ = w;
+    }
+    tx_.push_back(e.block);
+  }
+
+  /// Close the slice: its database, with the builder reset for the next.
+  [[nodiscard]] fim::TransactionDb take() {
+    flush();
+    window_ = -1;
+    return std::exchange(db_, fim::TransactionDb{});
+  }
+
+ private:
+  void flush() {
+    if (!tx_.empty()) db_.add(std::exchange(tx_, {}));
+  }
+
+  SimTime T_;
+  fim::TransactionDb db_;
+  std::vector<fim::Item> tx_;
+  std::int64_t window_ = -1;
+};
+
+/// Mine events [begin, end) of `t` as one slice (SliceTransactionBuilder),
+/// returning pairs with support >= min_support. Pure and deterministic.
 [[nodiscard]] std::vector<fim::FrequentPair> mine_event_range(
     const trace::Trace& t, std::size_t begin, std::size_t end,
     SimTime qos_interval, std::uint64_t min_support);
-
-/// Fold outcomes [begin, end) (trace order) into one report — the metric
-/// stage of the replay pipeline. Accumulation order is fixed by the index
-/// range, never by thread schedule, so per-interval reports can be
-/// computed into pre-sized slots in parallel.
-[[nodiscard]] IntervalReport summarize_outcome_range(
-    std::span<const RequestOutcome> outcomes, std::size_t begin, std::size_t end);
 
 /// The single-threaded replay engine. New code should not construct this
 /// directly: service::PipelineService wraps it behind a thread-safe facade
@@ -290,30 +322,26 @@ class FimSource {
 /// flush/drain, and is what flashqosd, flashqos_sim, and the examples use.
 /// Direct construction remains supported for the engine's own harnesses
 /// (oracles, model checker, benches) that need sub-facade access.
+///
+/// There is one replay path, run_stream(); run() is run_stream() over a
+/// trace::VectorCursor with a sink that materializes every outcome.
 class QosPipeline {
  public:
   QosPipeline(const decluster::AllocationScheme& scheme, PipelineConfig cfg);
 
   /// Run the full pipeline over a trace. Trace block ids are data blocks
   /// (mapped to buckets); with MappingMode::kModulo a bucket-domain trace
-  /// whose ids are < buckets() passes through unchanged. `fim` overrides
-  /// inline mining with precomputed slices (parallel engine); null mines
-  /// inline with identical results.
-  [[nodiscard]] PipelineResult run(const trace::Trace& t, FimSource* fim = nullptr);
+  /// whose ids are < buckets() passes through unchanged. Rejects an invalid
+  /// trace (trace::valid_trace) up front.
+  [[nodiscard]] PipelineResult run(const trace::Trace& t);
 
-  /// Stages 1–4 only (decode/mapping/admission/scheduling/flashsim):
-  /// outcomes and deadline_violations are filled, intervals/overall left
-  /// empty. The parallel engine summarizes those itself, sharded across
-  /// reporting slices; run() == replay() + serial summarization.
-  [[nodiscard]] PipelineResult replay(const trace::Trace& t, FimSource* fim = nullptr);
-
-  /// Streaming replay: pull events from `cursor` in batches and run the
-  /// same engine as run() without materializing the trace or the outcomes
-  /// vector — resident memory is O(batch + in-flight window), flat in
-  /// trace length. Interval reports, the overall report, deadline
-  /// violations, registry metrics, and windowed time-series are
-  /// bit-identical to run() on the materialized trace at any batch size
-  /// (audited by flashqos_verify --stream).
+  /// Replay events pulled from `cursor` in batches without materializing
+  /// the trace or the outcomes vector — resident memory is O(batch +
+  /// in-flight window), flat in trace length. Results, registry metrics
+  /// and windowed time-series are bit-identical at any batch size and for
+  /// any cursor yielding the same events (audited by flashqos_verify
+  /// --stream). `fim` overrides inline mining with slices mined elsewhere
+  /// (the parallel engine); null mines inline with identical results.
   [[nodiscard]] StreamResult run_stream(trace::TraceCursor& cursor,
                                         FimSource* fim = nullptr,
                                         const StreamOptions& opts = {});
@@ -326,6 +354,15 @@ class QosPipeline {
   /// parallel replay engine constructs a fresh QosPipeline inside each job.
   retrieval::Retriever retriever_;
 };
+
+/// The in-memory entry shared by QosPipeline::run and
+/// ParallelReplayEngine::run: checks `t`, calls `stream` once with the
+/// options that replay the whole trace (horizon = last arrival +
+/// qos_interval, a sink writing outcome i into outcomes[i]), and assembles
+/// the PipelineResult. `stream` must replay exactly the events of `t`.
+[[nodiscard]] PipelineResult run_materialized(
+    const trace::Trace& t, SimTime qos_interval,
+    const std::function<StreamResult(const StreamOptions&)>& stream);
 
 /// Baseline: replay a trace on its original volumes (the paper's "original
 /// stand": "every block request is retrieved from the device it is stated

@@ -4,8 +4,8 @@
 // paper's admission accounting: each QoS interval it dispenses the *live*
 // budget — S = (c-1)M² + cM while healthy, the degraded S′ from src/fault
 // while devices are down — across tenants in virtual-finish-time order,
-// with ClassifiedAdmission-style reservations honored as per-tenant
-// floors. A tenant's grant per interval is
+// with reservations honored as per-tenant floors. A tenant's grant per
+// interval is
 //
 //   up to  res_i  (its scaled reservation, held for it all interval)
 //   plus   its WFQ share of the shared remainder S_live − Σ res_i
@@ -39,8 +39,8 @@
 namespace flashqos::core {
 
 /// One tenant class: weight drives the WFQ share of the shared pool,
-/// reservation is the guaranteed per-interval floor (ClassifiedAdmission
-/// semantics), queue bounds provide the ECN-style backpressure.
+/// reservation is the guaranteed per-interval floor (isolated from every
+/// other tenant), queue bounds provide the ECN-style backpressure.
 struct TenantSpec {
   std::string name;
   double weight = 1.0;

@@ -165,10 +165,9 @@ SimTime FlashArray::device_free_at(DeviceId d) const {
   return free;
 }
 
-std::vector<IoCompletion> FlashArray::take_completions() {
-  std::vector<IoCompletion> out;
+void FlashArray::take_completions(std::vector<IoCompletion>& out) {
+  out.clear();
   out.swap(completions_);
-  return out;
 }
 
 }  // namespace flashqos::flashsim

@@ -53,11 +53,13 @@ class FlashArray {
   [[nodiscard]] SimTime device_free_at(DeviceId d) const;
 
   /// Completions recorded so far, in completion order. take_completions()
-  /// hands them off and clears the internal buffer.
+  /// hands them off into `out` (cleared first) by swapping buffers, so a
+  /// caller that keeps `out` alive reuses both capacities and draining
+  /// completions every dispatch instant allocates nothing.
   [[nodiscard]] const std::vector<IoCompletion>& completions() const noexcept {
     return completions_;
   }
-  [[nodiscard]] std::vector<IoCompletion> take_completions();
+  void take_completions(std::vector<IoCompletion>& out);
 
   [[nodiscard]] std::size_t pending_requests() const noexcept { return pending_; }
 

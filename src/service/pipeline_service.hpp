@@ -23,7 +23,7 @@
 // accepted so far — and clamps any lower arrival up to it (a late request
 // is treated as arriving now; service.clamped_events counts them). That
 // keeps the merged multi-connection stream time-sorted, which is the
-// cursor contract the streaming≡in-memory identity rests on: a
+// cursor contract the batch-size invariance of replay rests on: a
 // single-connection session that submits in order is never clamped and is
 // bit-identical to an in-process replay of the same stream — exactly what
 // flashqos_verify --daemon proves over the loopback wire.

@@ -1,7 +1,6 @@
 #include "verify/daemon_oracle.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -519,12 +518,15 @@ Report verify_daemon(const decluster::AllocationScheme& scheme,
   return report;
 }
 
-bool probe_daemon(std::uint16_t port, std::size_t batch) {
+bool probe_daemon(std::uint16_t port, std::string& summary, std::size_t batch) {
+  const auto fail = [&summary](const std::string& why) {
+    summary = "FAIL daemon-probe: " + why;
+    return false;
+  };
   net::Client client;
   if (!client.connect(port)) {
-    std::printf("FAIL daemon-probe: connect to 127.0.0.1:%u: %s\n",
-                static_cast<unsigned>(port), client.last_error().c_str());
-    return false;
+    return fail("connect to 127.0.0.1:" + std::to_string(port) + ": " +
+                client.last_error());
   }
   const auto devices = client.welcome().devices;
   std::vector<net::WireEvent> evs(batch);
@@ -537,34 +539,27 @@ bool probe_daemon(std::uint16_t port, std::size_t batch) {
   if (!client.submit(evs) ||
       !client.flush(static_cast<std::int64_t>(batch) *
                     client.welcome().interval_ns)) {
-    std::printf("FAIL daemon-probe: wire error: %s\n",
-                client.last_error().c_str());
-    return false;
+    return fail("wire error: " + client.last_error());
   }
   // finish() ends the session; as the only connection that asks the
   // daemon to drain, answer the remaining completions, and exit.
-  if (!client.finish()) {
-    std::printf("FAIL daemon-probe: drain: %s\n", client.last_error().c_str());
-    return false;
-  }
+  if (!client.finish()) return fail("drain: " + client.last_error());
   if (client.completions.size() != batch || !client.pushbacks.empty()) {
-    std::printf("FAIL daemon-probe: %zu of %zu completions, %zu pushbacks\n",
-                client.completions.size(), batch, client.pushbacks.size());
-    return false;
+    return fail(std::to_string(client.completions.size()) + " of " +
+                std::to_string(batch) + " completions, " +
+                std::to_string(client.pushbacks.size()) + " pushbacks");
   }
   for (std::size_t i = 0; i < batch; ++i) {
     const auto& c = client.completions[i];
     if (c.tag != i || c.finish < c.start || c.start < c.dispatch ||
         c.dispatch < c.arrival) {
-      std::printf("FAIL daemon-probe: completion %zu has tag %llu and a "
-                  "non-causal timeline\n",
-                  i, static_cast<unsigned long long>(c.tag));
-      return false;
+      return fail("completion " + std::to_string(i) + " has tag " +
+                  std::to_string(c.tag) + " and a non-causal timeline");
     }
   }
-  std::printf("OK daemon-probe: %zu served over 127.0.0.1:%u with live "
-              "verdicts, session drained\n",
-              batch, static_cast<unsigned>(port));
+  summary = "OK daemon-probe: " + std::to_string(batch) +
+            " served over 127.0.0.1:" + std::to_string(port) +
+            " with live verdicts, session drained";
   return true;
 }
 

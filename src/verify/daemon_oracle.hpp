@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "verify/invariants.hpp"
 
@@ -42,7 +43,8 @@ struct DaemonCheckParams {
 /// one-event-per-interval batch, flush past it, require every completion
 /// back with live verdict fields, then end the session — which, as the
 /// only connection, asks the daemon to drain and exit. True on success;
-/// failures are printed.
-[[nodiscard]] bool probe_daemon(std::uint16_t port, std::size_t batch = 64);
+/// `summary` gets the one-line OK/FAIL verdict for the caller to print.
+[[nodiscard]] bool probe_daemon(std::uint16_t port, std::string& summary,
+                                std::size_t batch = 64);
 
 }  // namespace flashqos::verify

@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
             "mutation check), SLO burn-rate pages, and trace spans against "
             "the returned outcomes (skipped when FLASHQOS_OBS=OFF)")
       .flag("stream",
-            "audit streaming == in-memory replay identity: every shared "
+            "audit batch-size and cursor-source invariance: every shared "
             "result field, registry metric, and windowed time-series point "
             "must be bit-identical between run() and run_stream() at batch "
             "sizes 1/7/4096, through the parallel mined-ahead path, the "
@@ -120,9 +120,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "flashqos_verify: --daemon-probe needs a port\n");
       return 2;
     }
-    return flashqos::verify::probe_daemon(static_cast<std::uint16_t>(port))
-               ? 0
-               : 1;
+    std::string summary;
+    const bool ok =
+        flashqos::verify::probe_daemon(static_cast<std::uint16_t>(port), summary);
+    std::printf("%s\n", summary.c_str());
+    return ok ? 0 : 1;
   }
 
   if (opts.has("list")) {
@@ -260,7 +262,8 @@ int main(int argc, char** argv) {
     }
   }
   if (stream) {
-    // Streaming ≡ in-memory identity audit on the paper's primary design.
+    // Batch-size / cursor-source invariance audit on the paper's primary
+    // design.
     for (const auto& e : flashqos::design::catalog()) {
       if (e.name != "(9,3,1)") continue;
       const auto d = e.make();

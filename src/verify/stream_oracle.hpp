@@ -1,11 +1,14 @@
-// Streaming ≡ in-memory replay oracle.
+// Streaming identity oracle: batch-size and cursor-source invariance.
 //
-// QosPipeline::run_stream promises the same numbers as run() on the
-// materialized trace — interval reports, the overall report, deadline
-// violations, tenant usage, every registry metric, and every windowed
-// time-series point — at any batch size, through any cursor (vector
-// adapter, generator, chunked file reader), and through the parallel
-// mined-ahead path. This verifier enforces that promise the way
+// run() is run_stream() over a VectorCursor at the default batch size, so
+// the reference leg and the audited legs share one engine. What this
+// oracle proves is that the numbers — interval reports, the overall
+// report, deadline violations, tenant usage, every registry metric, and
+// every windowed time-series point — do not depend on the batch size, on
+// the cursor that delivers the events (vector adapter, generator, chunked
+// file reader), or on mining ahead in the parallel engine. The absolute
+// results are pinned separately, per request, by the golden snapshots
+// (tests/golden_replay_test.cpp). This verifier enforces its promise the way
 // verify_replay_equivalence does for serial ≡ parallel: recompute both
 // sides and compare field by field with exact (bitwise for doubles)
 // equality, plus absolute registry/time-series snapshot identity modulo

@@ -6,9 +6,9 @@
 #include <set>
 
 #include "core/qos_pipeline.hpp"
-#include "core/rebuild.hpp"
 #include "decluster/schemes.hpp"
 #include "design/constructions.hpp"
+#include "fault/rebuild.hpp"
 #include "trace/synthetic.hpp"
 
 namespace flashqos::core {
@@ -23,7 +23,7 @@ const DesignTheoretic& scheme931() {
 }
 
 TEST(RebuildPlan, CoversExactlyTheAffectedBuckets) {
-  const auto plan = plan_rebuild(scheme931(), 4);
+  const auto plan = fault::plan_rebuild(scheme931(), 4);
   std::set<BucketId> planned;
   for (const auto& item : plan.items) planned.insert(item.bucket);
   for (BucketId b = 0; b < scheme931().buckets(); ++b) {
@@ -36,7 +36,7 @@ TEST(RebuildPlan, CoversExactlyTheAffectedBuckets) {
 }
 
 TEST(RebuildPlan, SourcesAreSurvivingReplicas) {
-  const auto plan = plan_rebuild(scheme931(), 0);
+  const auto plan = fault::plan_rebuild(scheme931(), 0);
   for (const auto& item : plan.items) {
     EXPECT_NE(item.source, 0u);
     const auto reps = scheme931().replicas(item.bucket);
@@ -45,7 +45,7 @@ TEST(RebuildPlan, SourcesAreSurvivingReplicas) {
 }
 
 TEST(RebuildPlan, SourceLoadIsBalanced) {
-  const auto plan = plan_rebuild(scheme931(), 7);
+  const auto plan = fault::plan_rebuild(scheme931(), 7);
   std::vector<int> load(9, 0);
   for (const auto& item : plan.items) ++load[item.source];
   const auto [lo, hi] = std::minmax_element(load.begin(), load.end() - 1);
@@ -56,15 +56,15 @@ TEST(RebuildPlan, SourceLoadIsBalanced) {
 }
 
 TEST(RebuildPlan, DurationScalesWithRate) {
-  const auto plan = plan_rebuild(scheme931(), 2);
+  const auto plan = fault::plan_rebuild(scheme931(), 2);
   EXPECT_EQ(plan.estimated_duration(1000.0),
             static_cast<SimTime>(plan.items.size()) * kMillisecond);
   EXPECT_GT(plan.estimated_duration(10.0), plan.estimated_duration(1000.0));
 }
 
 TEST(RebuildTrace, PacedAndSorted) {
-  const auto plan = plan_rebuild(scheme931(), 1);
-  const auto t = rebuild_trace(plan, 5 * kMillisecond, 2000.0);
+  const auto plan = fault::plan_rebuild(scheme931(), 1);
+  const auto t = fault::rebuild_trace(plan, 5 * kMillisecond, 2000.0);
   EXPECT_EQ(t.events.size(), plan.items.size());
   EXPECT_TRUE(trace::valid_trace(t));
   EXPECT_EQ(t.events.front().time, 5 * kMillisecond);
@@ -90,12 +90,12 @@ TEST(RebuildEndToEnd, RebuildTrafficServesFromPlannedSurvivors) {
   // device down: everything completes, nothing routed to the dead device.
   const auto& scheme = scheme931();
   const DeviceId dead = 6;
-  const auto plan = plan_rebuild(scheme, dead);
+  const auto plan = fault::plan_rebuild(scheme, dead);
   const auto fg = trace::generate_synthetic({.bucket_pool = scheme.buckets(),
                                              .requests_per_interval = 3,
                                              .total_requests = 3000,
                                              .seed = 21});
-  const auto merged = trace::merge(fg, rebuild_trace(plan, 0, 5000.0));
+  const auto merged = trace::merge(fg, fault::rebuild_trace(plan, 0, 5000.0));
 
   PipelineConfig cfg;
   cfg.retrieval = RetrievalMode::kOnline;
@@ -111,7 +111,7 @@ TEST(RebuildEndToEnd, RebuildTrafficServesFromPlannedSurvivors) {
 TEST(RebuildEndToEnd, RebuildRateTradesSpeedForDeferral) {
   const auto& scheme = scheme931();
   const DeviceId dead = 3;
-  const auto plan = plan_rebuild(scheme, dead);
+  const auto plan = fault::plan_rebuild(scheme, dead);
   const auto fg = trace::generate_synthetic({.bucket_pool = scheme.buckets(),
                                              .requests_per_interval = 4,
                                              .total_requests = 12000,
@@ -124,7 +124,7 @@ TEST(RebuildEndToEnd, RebuildRateTradesSpeedForDeferral) {
 
   double slow_deferral = 0.0, fast_deferral = 0.0;
   for (const double rate : {2000.0, 20000.0}) {
-    const auto merged = trace::merge(fg, rebuild_trace(plan, 0, rate));
+    const auto merged = trace::merge(fg, fault::rebuild_trace(plan, 0, rate));
     const auto r = QosPipeline(scheme, cfg).run(merged);
     (rate < 10000.0 ? slow_deferral : fast_deferral) = r.overall.pct_deferred;
   }
