@@ -1,19 +1,19 @@
-// Micro — parallel replay engine scaling at 1/2/4/8 threads.
+// Micro — sweep sharding scaling at 1/2/4/8 threads.
 //
-// Two measurements, both against the serial QosPipeline baseline:
-//  (1) sweep sharding: a mixed-configuration job list (the shape
-//      experiment.cpp and the fig/table drivers produce) through
-//      ParallelReplayEngine::run_jobs;
-//  (2) mined-ahead single replay: one aligned+FIM replay through
-//      ParallelReplayEngine::run, with FIM mining running ahead of the
-//      serial core over the handoff queue.
-// Every parallel result is checked bit-identical to the serial baseline
-// before its time is reported — a fast wrong replay would be worthless.
+// A mixed-configuration job list (the shape experiment.cpp and the
+// fig/table drivers produce) through ParallelReplayEngine::run_jobs,
+// against the same jobs replayed one after another on the serial
+// QosPipeline. Every parallel result is checked bit-identical to the
+// serial baseline before any sweep is timed — a fast wrong replay would be
+// worthless.
 //
-// Speedup is bounded by the host: on a single-core container every thread
-// count serializes and the sweep numbers show parallel overhead instead of
-// speedup. The printed hardware_concurrency line is part of the output so
-// recorded numbers carry that context with them.
+// Each figure is the median of kReps warm repetitions (one untimed warm-up
+// run first), printed with its quartiles so run-to-run noise is visible
+// beside the speedup. Speedup is bounded by the host: on a single-core
+// container every thread count serializes and the numbers show parallel
+// overhead instead of speedup. The printed hardware_concurrency line is
+// part of the output so recorded numbers carry that context with them.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -27,6 +27,7 @@
 #include "design/constructions.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/workload.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "verify/replay_equivalence.hpp"
 
@@ -34,9 +35,24 @@ using namespace flashqos;
 
 namespace {
 
+constexpr int kReps = 5;
+
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   const auto dt = std::chrono::steady_clock::now() - t0;
   return std::chrono::duration<double>(dt).count();
+}
+
+/// Wall time of kReps calls of `fn`, sorted ascending.
+template <typename Fn>
+std::vector<double> timed_reps(Fn&& fn) {
+  std::vector<double> secs;
+  for (int r = 0; r < kReps; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    secs.push_back(seconds_since(t0));
+  }
+  std::sort(secs.begin(), secs.end());
+  return secs;
 }
 
 struct Workload {
@@ -84,46 +100,39 @@ int main(int argc, char** argv) {
   const decluster::DesignTheoretic scheme(d, true);
   const auto w = build_jobs(scheme, smoke);
 
-  print_banner("Parallel replay scaling: sharded sweep + mined-ahead replay");
+  print_banner("Parallel replay scaling: sharded sweep (run_jobs)");
   std::printf("host: hardware_concurrency = %u (speedup is bounded by "
               "physical cores, not requested threads)\n",
               std::thread::hardware_concurrency());
-  std::printf("sweep: %zu jobs over %zu traces\n", w.jobs.size(),
-              w.traces.size());
+  std::printf("sweep: %zu jobs over %zu traces; median and quartiles of %d "
+              "warm repetitions\n",
+              w.jobs.size(), w.traces.size(), kReps);
 
-  // Serial baseline: one QosPipeline per job, same order.
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<core::PipelineResult> baseline;
-  baseline.reserve(w.jobs.size());
-  for (const auto& j : w.jobs) {
-    baseline.push_back(core::QosPipeline(*j.scheme, j.config).run(*j.trace));
-  }
-  const double serial_sweep = seconds_since(t0);
+  // Serial baseline: one QosPipeline per job, same order. The first pass
+  // is the warm-up and the reference results for the identity gate.
+  const auto serial_sweep = [&] {
+    std::vector<core::PipelineResult> out;
+    out.reserve(w.jobs.size());
+    for (const auto& j : w.jobs) {
+      out.push_back(core::QosPipeline(*j.scheme, j.config).run(*j.trace));
+    }
+    return out;
+  };
+  const auto baseline = serial_sweep();
+  const auto serial = timed_reps([&] { (void)serial_sweep(); });
+  const double serial_median = percentile_sorted(serial, 0.5);
 
-  // Mined-ahead replay baseline: the heaviest aligned+FIM job, serial.
-  core::PipelineConfig pipe_cfg;
-  pipe_cfg.retrieval = core::RetrievalMode::kIntervalAligned;
-  pipe_cfg.mapping = core::MappingMode::kFim;
-  const auto& pipe_trace = w.traces.front();
-  const auto t1 = std::chrono::steady_clock::now();
-  const auto pipe_baseline = core::QosPipeline(scheme, pipe_cfg).run(pipe_trace);
-  const double serial_pipe = seconds_since(t1);
-
-  Table table({"threads", "sweep (s)", "sweep speedup", "mined-ahead (s)",
-               "mined-ahead speedup"});
+  Table table({"threads", "median (s)", "q1 (s)", "q3 (s)", "speedup"});
+  table.add_row({"serial", Table::num(serial_median, 3),
+                 Table::num(percentile_sorted(serial, 0.25), 3),
+                 Table::num(percentile_sorted(serial, 0.75), 3), "1.00"});
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     core::ParallelReplayEngine engine({.threads = threads});
 
-    const auto s0 = std::chrono::steady_clock::now();
+    // Correctness gate on the warm-up sweep: a result that differs from
+    // serial disqualifies the timing. results_identical is exact
+    // (bit-level doubles).
     const auto swept = engine.run_jobs(w.jobs);
-    const double sweep_time = seconds_since(s0);
-
-    const auto p0 = std::chrono::steady_clock::now();
-    const auto piped = engine.run(scheme, pipe_cfg, pipe_trace);
-    const double pipe_time = seconds_since(p0);
-
-    // Correctness gate: a result that differs from serial disqualifies the
-    // timing. results_identical is exact (bit-level doubles).
     std::string why;
     for (std::size_t i = 0; i < swept.size(); ++i) {
       if (!verify::results_identical(baseline[i], swept[i], &why)) {
@@ -132,21 +141,16 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    if (!verify::results_identical(pipe_baseline, piped, &why)) {
-      std::printf("FAILED: mined-ahead replay at %zu threads diverged: %s\n",
-                  threads, why.c_str());
-      return 1;
-    }
 
-    table.add_row({std::to_string(threads), Table::num(sweep_time, 3),
-                   Table::num(serial_sweep / sweep_time, 2),
-                   Table::num(pipe_time, 3),
-                   Table::num(serial_pipe / pipe_time, 2)});
+    const auto secs = timed_reps([&] { (void)engine.run_jobs(w.jobs); });
+    const double median = percentile_sorted(secs, 0.5);
+    table.add_row({std::to_string(threads), Table::num(median, 3),
+                   Table::num(percentile_sorted(secs, 0.25), 3),
+                   Table::num(percentile_sorted(secs, 0.75), 3),
+                   Table::num(serial_median / median, 2)});
   }
-  std::printf("serial baseline: sweep %.3f s, mined-ahead replay %.3f s\n",
-              serial_sweep, serial_pipe);
   table.print();
-  std::printf("\nall parallel results verified bit-identical to the serial "
+  std::printf("\nall sweep results verified bit-identical to the serial "
               "engine before timing was accepted.\n");
   return 0;
 }

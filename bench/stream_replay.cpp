@@ -108,7 +108,7 @@ LegResult run_leg(const decluster::AllocationScheme& scheme,
   core::QosPipeline pipe(scheme, cfg);
   const double before = static_cast<double>(current_rss_bytes());
   const auto t0 = std::chrono::steady_clock::now();
-  const auto res = pipe.run_stream(cursor, nullptr, opts);
+  const auto res = pipe.run_stream(cursor, opts);
   LegResult leg;
   leg.seconds = seconds_since(t0);
   leg.delta_rss_bytes = static_cast<double>(current_rss_bytes()) - before;

@@ -13,22 +13,22 @@
 #   4. the test suite under AddressSanitizer + UndefinedBehaviorSanitizer
 #   5. the test suite under ThreadSanitizer
 #   6. the design-invariant verifier (flashqos_verify) over every catalog
-#      design with N <= 64, plus the serial ≡ parallel replay-equivalence
-#      audit (every mode combination, failure windows, sweep sharding), the
+#      design with N <= 64, plus the serial ≡ sweep replay-equivalence
+#      audit (every mode combination and failure windows replayed as one
+#      sharded run_jobs batch, each slot against serial run()), the
 #      observability self-audit (--obs: recorded metrics, windowed
 #      time-series points, SLO burn-rate pages, and trace spans checked
 #      against the replay outcomes they describe), and the
 #      fault-injection chaos audit (--faults: randomized fault plans with
 #      request-conservation, routing, guarantee-reestablishment, and
-#      serial ≡ parallel checks), the streaming-identity audit
+#      serial ≡ sweep checks), the streaming-identity audit
 #      (--stream: run() is run_stream over a VectorCursor, and the audit
 #      proves batch-size and cursor-source invariance — results, metric
 #      registry, and windowed time-series bit-identical at every batch
-#      size, through generator and chunked-file cursors and the parallel
-#      mined-ahead path, with a seeded drain-bound mutation proving the
-#      audit can fail; the golden snapshots in ctest pin the absolute
-#      per-request results), and the daemon-identity
-#      audit (--daemon: results served over a real loopback flashqosd
+#      size, through generator and chunked-file cursors, with a seeded
+#      drain-bound mutation proving the audit can fail; the golden
+#      snapshots in ctest pin the absolute per-request results), and the
+#      daemon-identity audit (--daemon: results served over a real loopback flashqosd
 #      session field-identical to in-process replay, including
 #      multi-connection interleavings, clamping, and mid-session flushes)
 #   7. flashqosd lifecycle smoke: start the daemon on an ephemeral port

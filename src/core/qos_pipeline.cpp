@@ -333,18 +333,18 @@ class OutcomeObsFolder {
   std::array<std::uint64_t, kPathCount> by_path_{};
 };
 
-/// A request waiting for dispatch. Ordered by (dispatch time, seq); seq is
+/// A request waiting for dispatch. Ordered by (dispatch time, idx); idx is
 /// the trace position, so deferred requests keep FIFO priority over newer
 /// arrivals at the same boundary.
 struct Pending {
   SimTime dispatch = 0;
-  std::uint64_t seq = 0;
   std::size_t idx = 0;  // ingestion index (the request's window slot)
 
   bool operator>(const Pending& other) const noexcept {
-    return dispatch != other.dispatch ? dispatch > other.dispatch : seq > other.seq;
+    return dispatch != other.dispatch ? dispatch > other.dispatch : idx > other.idx;
   }
 };
+static_assert(sizeof(Pending) == 16, "dispatch-heap entries stay two words");
 
 /// Streaming-safe interval summary: add() one outcome at a time (trace
 /// order), finalize() into an IntervalReport. The engine's incremental
@@ -515,13 +515,6 @@ QosPipeline::QosPipeline(const decluster::AllocationScheme& scheme, PipelineConf
                   "invalid pipeline configuration (diagnostics on stderr)");
 }
 
-PipelineResult QosPipeline::run(const trace::Trace& t) {
-  return run_materialized(t, cfg_.qos_interval, [&](const StreamOptions& opts) {
-    trace::VectorCursor cursor(t);
-    return run_stream(cursor, nullptr, opts);
-  });
-}
-
 namespace {
 
 /// Writes each outcome into its trace position of a pre-sized vector.
@@ -540,9 +533,7 @@ class MaterializingSink final : public OutcomeSink {
 
 }  // namespace
 
-PipelineResult run_materialized(
-    const trace::Trace& t, SimTime qos_interval,
-    const std::function<StreamResult(const StreamOptions&)>& stream) {
+PipelineResult QosPipeline::run(const trace::Trace& t) {
   PipelineResult result;
   if (t.events.empty()) return result;
   // The streaming ingest checks time order only; device range and request
@@ -550,7 +541,9 @@ PipelineResult run_materialized(
   FLASHQOS_EXPECT(trace::valid_trace(t), "pipeline input must be a valid trace");
   result.outcomes.resize(t.events.size());
   MaterializingSink sink(result.outcomes);
-  auto s = stream({.horizon = t.events.back().time + qos_interval, .sink = &sink});
+  trace::VectorCursor cursor(t);
+  auto s = run_stream(
+      cursor, {.horizon = t.events.back().time + cfg_.qos_interval, .sink = &sink});
   FLASHQOS_EXPECT(s.requests == t.events.size(),
                   "materialized replay must consume the whole trace");
   result.intervals = std::move(s.intervals);
@@ -659,8 +652,7 @@ class ReplayEngine {
         matcher_(scheme),
         tenant_mode_(!cfg.tenants.empty()) {}
 
-  StreamResult run(trace::TraceCursor& cursor, FimSource* fim,
-                   const StreamOptions& opts) {
+  StreamResult run(trace::TraceCursor& cursor, const StreamOptions& opts) {
     FLASHQOS_EXPECT(opts.batch_size > 0, "stream batch size must be positive");
     report_interval_ = cursor.meta().report_interval;
     keep_intervals_ = opts.keep_intervals;
@@ -681,7 +673,7 @@ class ReplayEngine {
                       "StreamOptions::horizon (the fault schedule compiles "
                       "before the trace length is known)");
     }
-    init(opts.horizon, fim);
+    init(opts.horizon);
     sink_ = opts.sink;
     obs::LatencyHistogram* ingest_ns = nullptr;
     obs::LatencyHistogram* drain_ns = nullptr;
@@ -757,8 +749,7 @@ class ReplayEngine {
 
   // ---- setup -------------------------------------------------------------
 
-  void init(SimTime horizon, FimSource* fim) {
-    fim_ = fim;
+  void init(SimTime horizon) {
     if (cfg_.admission == AdmissionMode::kStatistical) {
       stat_.emplace(cfg_.p_table, det_.limit(), cfg_.epsilon);
     }
@@ -849,8 +840,8 @@ class ReplayEngine {
     const SimTime dispatch = cfg_.retrieval == RetrievalMode::kOnline
                                  ? e.time
                                  : next_interval_start(e.time, T_);
-    queue_.push(Pending{dispatch, idx, idx});
-    if (mines_inline()) ingest_fim(e);
+    queue_.push(Pending{dispatch, idx});
+    if (mines_fim()) ingest_fim(e);
   }
 
   /// Incremental build of the per-reporting-slice FIM transaction
@@ -868,9 +859,8 @@ class ReplayEngine {
     ++fim_slice_;
   }
 
-  [[nodiscard]] bool mines_inline() const {
-    return cfg_.mapping == MappingMode::kFim && report_interval_ > 0 &&
-           fim_ == nullptr;
+  [[nodiscard]] bool mines_fim() const {
+    return cfg_.mapping == MappingMode::kFim && report_interval_ > 0;
   }
 
   /// Close every FIM slice that ends at or below the drain bound: events
@@ -885,7 +875,7 @@ class ReplayEngine {
   /// must keep the frontier at or below the final event time (the daemon
   /// oracle does). Called only after a non-empty batch was ingested.
   void advance_fim_frontier(SimTime bound) {
-    if (!mines_inline()) return;
+    if (!mines_fim()) return;
     while (static_cast<SimTime>(fim_slice_ + 1) * report_interval_ <= bound) {
       close_fim_slice();
     }
@@ -907,7 +897,7 @@ class ReplayEngine {
   /// (now is strictly below the last ingested arrival), so the cap only
   /// binds once the stream length is known.
   void finish_ingest() {
-    if (mines_inline()) close_fim_slice();
+    if (mines_fim()) close_fim_slice();
     slices_total_ = report_interval_ > 0
                         ? static_cast<std::size_t>(last_time_ / report_interval_) + 1
                         : 0;
@@ -1143,17 +1133,12 @@ class ReplayEngine {
     // Reporting-interval rollover: rebuild the FIM mapping from the slice
     // that just closed (paper: "we use the trace one previous than the
     // current interval for mining").
-    if (cfg_.mapping == MappingMode::kFim && report_interval_ > 0) {
+    if (mines_fim()) {
       const auto target = static_cast<std::size_t>(now / report_interval_);
       while (report_idx_ < target && report_idx_ < mine_limit_) {
-        if (fim_ != nullptr) {
-          mapper_.rebuild(fim_->slice(report_idx_));
-        } else {
-          mapper_.rebuild(
-              fim::mine_pairs_apriori(take_slice_db(report_idx_),
-                                      cfg_.fim_min_support)
-                  .pairs);
-        }
+        mapper_.rebuild(fim::mine_pairs_apriori(take_slice_db(report_idx_),
+                                                cfg_.fim_min_support)
+                            .pairs);
         ++report_idx_;
       }
     }
@@ -1874,7 +1859,6 @@ class ReplayEngine {
   SlotMatcher matcher_;  // persists across instants; begin_instant() re-arms
   const bool tenant_mode_;
   bool keep_intervals_ = true;
-  FimSource* fim_ = nullptr;
   OutcomeSink* sink_ = nullptr;
   SimTime report_interval_ = 0;
 
@@ -1979,10 +1963,10 @@ class ReplayEngine {
 
 }  // namespace
 
-StreamResult QosPipeline::run_stream(trace::TraceCursor& cursor, FimSource* fim,
+StreamResult QosPipeline::run_stream(trace::TraceCursor& cursor,
                                      const StreamOptions& opts) {
   ReplayEngine engine(scheme_, cfg_, retriever_);
-  return engine.run(cursor, fim, opts);
+  return engine.run(cursor, opts);
 }
 
 PipelineResult replay_original(const trace::Trace& t, SimTime service_time,

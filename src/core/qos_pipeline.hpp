@@ -23,9 +23,7 @@
 //  * end-to-end     = finish − arrival (reported for completeness).
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -205,9 +203,8 @@ struct PipelineResult {
 /// into the reports — which is exactly when the engine guarantees no field
 /// can change again. This is how the service facade routes completions
 /// back to live clients without materializing an outcomes vector, and how
-/// run() materializes one (run_materialized). The
-/// callback runs on the replay thread; implementations must not re-enter
-/// the pipeline.
+/// run() materializes one. The callback runs on the replay thread;
+/// implementations must not re-enter the pipeline.
 class OutcomeSink {
  public:
   virtual ~OutcomeSink() = default;
@@ -257,27 +254,12 @@ struct StreamResult {
   std::vector<TenantUsage> tenant_usage;  // indexed like cfg.tenants
 };
 
-/// Serves the per-reporting-slice FIM mining results to the replay loop
-/// (the decode→mine stage of the replay pipeline, factored out so it can
-/// run ahead of the serial core). The serial engine mines inline; the
-/// parallel engine mines on a pool worker and hands slices over a bounded
-/// queue, blocking in slice() until the one it needs arrives. Because
-/// mining is a pure function of the trace slice, a mined-ahead run is
-/// bit-identical to an inline run.
-class FimSource {
- public:
-  virtual ~FimSource() = default;
-  /// Frequent pairs mined from reporting slice `idx`; may block. The
-  /// returned span must stay valid until the next slice() call.
-  [[nodiscard]] virtual std::span<const fim::FrequentPair> slice(std::size_t idx) = 0;
-};
-
 /// Cuts one reporting slice of events into the FIM transaction database:
 /// each QoS interval's distinct read blocks form one transaction (the
 /// paper mines read requests). Callers feed a slice's events in time
 /// order and take() it at the slice boundary; a QoS window never straddles
-/// that boundary. mine_event_range, the streaming ingest and the parallel
-/// mining stage all cut slices through this one builder.
+/// that boundary. mine_event_range and the replay engine's inline miner
+/// both cut slices through this one builder.
 class SliceTransactionBuilder {
  public:
   explicit SliceTransactionBuilder(SimTime qos_interval) : T_(qos_interval) {}
@@ -340,10 +322,9 @@ class QosPipeline {
   /// in-flight window), flat in trace length. Results, registry metrics
   /// and windowed time-series are bit-identical at any batch size and for
   /// any cursor yielding the same events (audited by flashqos_verify
-  /// --stream). `fim` overrides inline mining with slices mined elsewhere
-  /// (the parallel engine); null mines inline with identical results.
+  /// --stream). FIM mapping re-mines each reporting slice inline, at the
+  /// rollover into the next one.
   [[nodiscard]] StreamResult run_stream(trace::TraceCursor& cursor,
-                                        FimSource* fim = nullptr,
                                         const StreamOptions& opts = {});
 
  private:
@@ -354,15 +335,6 @@ class QosPipeline {
   /// parallel replay engine constructs a fresh QosPipeline inside each job.
   retrieval::Retriever retriever_;
 };
-
-/// The in-memory entry shared by QosPipeline::run and
-/// ParallelReplayEngine::run: checks `t`, calls `stream` once with the
-/// options that replay the whole trace (horizon = last arrival +
-/// qos_interval, a sink writing outcome i into outcomes[i]), and assembles
-/// the PipelineResult. `stream` must replay exactly the events of `t`.
-[[nodiscard]] PipelineResult run_materialized(
-    const trace::Trace& t, SimTime qos_interval,
-    const std::function<StreamResult(const StreamOptions&)>& stream);
 
 /// Baseline: replay a trace on its original volumes (the paper's "original
 /// stand": "every block request is retrieved from the device it is stated

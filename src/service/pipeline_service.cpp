@@ -167,7 +167,7 @@ core::StreamResult PipelineService::run_stream(trace::TraceCursor& cursor) {
   so.batch_size = opts_.batch_size;
   so.horizon = opts_.horizon;
   so.keep_intervals = opts_.keep_intervals;
-  return core::QosPipeline(scheme_, opts_.pipeline).run_stream(cursor, nullptr, so);
+  return core::QosPipeline(scheme_, opts_.pipeline).run_stream(cursor, so);
 }
 
 bool PipelineService::start(ServedSink& sink) {
@@ -188,7 +188,7 @@ void PipelineService::service_thread() {
   so.keep_intervals = opts_.keep_intervals;
   so.sink = engine_sink_.get();
   core::QosPipeline pipe(scheme_, opts_.pipeline);
-  result_.emplace(pipe.run_stream(*ingress_, nullptr, so));
+  result_.emplace(pipe.run_stream(*ingress_, so));
 }
 
 bool PipelineService::submit(std::uint64_t conn,

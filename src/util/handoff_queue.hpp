@@ -1,12 +1,12 @@
-// Bounded blocking handoff queue for pipeline stages.
+// Bounded blocking handoff queue between threads.
 //
-// The parallel replay engine decomposes a replay into stages (trace decode
-// + FIM mining ahead of the serial admission/scheduling core) connected by
-// one of these queues: producers push interval batches, the consumer pops
-// them in whatever order they complete and re-sequences by interval id.
-// The bound provides backpressure — miners cannot run arbitrarily far
-// ahead of the replay core, so memory stays proportional to the capacity,
-// not the trace length.
+// Two producer/consumer seams use it: the TCP acceptor hands accepted
+// client sockets to the worker threads of the HTTP exporter and of
+// flashqosd (net/acceptor.hpp), and the service ingress
+// hands whole submit batches from client threads to the one replay thread
+// (service/pipeline_service.cpp). The bound provides backpressure —
+// producers cannot run arbitrarily far ahead of the consumer, so memory
+// stays proportional to the capacity, not to the input.
 //
 // Semantics:
 //  * push() blocks while the queue is full; returns false iff the queue
@@ -17,8 +17,7 @@
 //
 // Any number of producers and consumers may share a queue; ordering across
 // producers is arrival order under the internal lock (consumers that need
-// a canonical order must re-sequence by an id carried in T — see
-// core::ParallelReplayEngine, which indexes pre-sized slots by interval).
+// a canonical order must re-sequence by an id carried in T).
 //
 // The queue is templated on a sync policy (util/sync.hpp). Production code
 // uses the default StdSyncPolicy — raw std::mutex/condvar, zero overhead.

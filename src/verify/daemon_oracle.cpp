@@ -32,8 +32,7 @@ namespace {
 /// and batches, it is not allowed to change physics.
 bool excluded_instrument(std::string_view name) {
   return name == "pipeline.interval_ns" ||
-         name.starts_with("trace.stream.") || name.starts_with("parallel.") ||
-         name.starts_with("net.") || name.starts_with("service.") ||
+         name.starts_with("trace.stream.") || name.starts_with("net.") || name.starts_with("service.") ||
          name.starts_with("obs.http.");
 }
 
@@ -250,7 +249,7 @@ Report verify_daemon(const decluster::AllocationScheme& scheme,
     audit("daemon online/det/fim @synthetic", cfg, synthetic, 0);
   }
   {
-    core::PipelineConfig cfg;  // aligned batches + FIM mining ahead
+    core::PipelineConfig cfg;  // aligned batches + per-slice FIM mining
     cfg.retrieval = core::RetrievalMode::kIntervalAligned;
     audit("daemon aligned/det/fim @exchange", cfg, exchange, 0);
   }

@@ -205,7 +205,7 @@ bool simulate_reference(const Mix& mix, const trace::Trace& t, std::uint64_t S,
 
 /// Replay one mix through the pipeline (with the given knobs) and check
 /// every fairness property against the honest reference. `equivalence`
-/// additionally audits serial == parallel (skipped on mutation runs).
+/// additionally audits serial == sweep (skipped on mutation runs).
 Report check_mix(const decluster::AllocationScheme& scheme, const Mix& mix,
                  core::WfqKnobs knobs, const FairnessOracleParams& params,
                  core::ParallelReplayEngine* engine, bool equivalence) {
@@ -424,22 +424,15 @@ Report check_mix(const decluster::AllocationScheme& scheme, const Mix& mix,
   }
   report.add("usage-accounting", usage_ok, usage_ok ? "" : why);
 
-  // (h) serial == parallel, online and aligned, engine and sweep paths.
+  // (h) serial == sweep, online and aligned, as one two-job run_jobs batch.
   if (equivalence && engine != nullptr) {
-    for (const auto aligned : {false, true}) {
-      core::PipelineConfig c2 = cfg;
-      c2.retrieval = aligned ? core::RetrievalMode::kIntervalAligned
-                             : core::RetrievalMode::kOnline;
-      const auto serial = core::QosPipeline(scheme, c2).run(t);
-      const auto parallel = engine->run(scheme, c2, t);
-      bool identical = results_identical(serial, parallel, &why);
-      if (identical) {
-        const core::ReplayJob job{&scheme, &t, c2};
-        const auto swept = engine->run_jobs({&job, 1});
-        identical = results_identical(serial, swept.at(0), &why);
-        if (!identical) why = "run_jobs path: " + why;
-      }
-      report.add(std::string(aligned ? "aligned" : "online") +
+    std::vector<core::ReplayJob> jobs(2, core::ReplayJob{&scheme, &t, cfg});
+    jobs[1].config.retrieval = core::RetrievalMode::kIntervalAligned;
+    const auto swept = engine->run_jobs(jobs);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const auto serial = core::QosPipeline(scheme, jobs[i].config).run(t);
+      const bool identical = results_identical(serial, swept[i], &why);
+      report.add(std::string(i == 1 ? "aligned" : "online") +
                      " serial==parallel",
                  identical, identical ? "" : why);
     }
@@ -454,8 +447,7 @@ Report verify_fairness(const decluster::AllocationScheme& scheme,
   Report report("fairness N=" + std::to_string(scheme.devices()));
   const auto S = design::guarantee_buckets(scheme.copies(), 1);
 
-  core::ParallelReplayEngine engine({.threads = params.threads,
-                                     .mining_lookahead = 2});
+  core::ParallelReplayEngine engine({.threads = params.threads});
   for (std::size_t r = 0; r < params.mixes; ++r) {
     const auto mix = make_mix(S, params.seed, r, params.intervals);
     std::size_t pool = 0;

@@ -22,8 +22,8 @@
 //       backpressure, or the other checks were vacuous);
 //   (g) usage accounting — PipelineResult::tenant_usage matches tallies
 //       recomputed from the outcomes alone;
-//   (h) serial ≡ parallel — the parallel engine and the sweep path stay
-//       bit-identical on multi-tenant configs (aligned and online modes).
+//   (h) serial ≡ sweep — run_jobs sweep slots stay bit-identical to serial
+//       replays on multi-tenant configs (aligned and online modes).
 //
 // The oracle also proves its own teeth: each WfqKnobs mutation (FIFO
 // order, frozen renormalization, ignored reservations, leaked budget) is
@@ -43,7 +43,7 @@ struct FairnessOracleParams {
   /// Trace length in QoS intervals (arrivals stop here; the replay keeps
   /// dispensing until every queue drains).
   std::size_t intervals = 60;
-  std::size_t threads = 3;  // parallel engine width for check (h)
+  std::size_t threads = 3;  // sweep width for check (h)
   /// Also run the mutation-liveness pass (check that every deliberate
   /// defect in WfqKnobs is detected). Disable for quick smoke runs.
   bool mutations = true;

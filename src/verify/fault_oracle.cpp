@@ -102,8 +102,7 @@ Report verify_fault_tolerance(const decluster::AllocationScheme& scheme,
 
   const auto p_table = core::sample_optimal_probabilities(
       scheme, 16, {.samples_per_size = 200, .seed = params.seed});
-  core::ParallelReplayEngine engine({.threads = params.threads,
-                                     .mining_lookahead = 2});
+  core::ParallelReplayEngine engine({.threads = params.threads});
 
   for (std::size_t r = 0; r < params.plans; ++r) {
     const auto plan = make_plan(scheme, params.seed, r, T);
@@ -236,15 +235,10 @@ Report verify_fault_tolerance(const decluster::AllocationScheme& scheme,
                          : why);
       }
 
-      // (d) Serial ≡ parallel, plan and all.
-      const auto parallel = engine.run(scheme, cfg, t);
-      bool identical = results_identical(result, parallel, &why);
-      if (identical) {
-        const core::ReplayJob job{&scheme, &t, cfg};
-        const auto swept = engine.run_jobs({&job, 1});
-        identical = results_identical(result, swept.at(0), &why);
-        if (!identical) why = "run_jobs path: " + why;
-      }
+      // (d) Serial ≡ sweep, plan and all.
+      const core::ReplayJob job{&scheme, &t, cfg};
+      const auto swept = engine.run_jobs({&job, 1});
+      const bool identical = results_identical(result, swept.at(0), &why);
       report.add(tag + " serial==parallel", identical, identical ? "" : why);
     }
   }

@@ -17,8 +17,8 @@
 //       last disruption meets the paper's response bound M·L again
 //       (statistical admission is excluded: its surplus path queues by
 //       design);
-//   (d) serial ≡ parallel — the parallel replay engine and the sweep path
-//       stay bit-identical to the serial pipeline under every fault plan.
+//   (d) serial ≡ sweep — a run_jobs sweep slot stays bit-identical to the
+//       serial pipeline under every fault plan.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +32,7 @@ struct FaultOracleParams {
   /// pipeline configurations.
   std::size_t plans = 3;
   std::uint64_t seed = 2026;
-  std::size_t threads = 3;       // parallel engine width for check (d)
+  std::size_t threads = 3;       // sweep width for check (d)
   std::size_t intervals = 120;   // synthetic trace length in QoS intervals
   std::uint32_t per_interval = 4;
 };

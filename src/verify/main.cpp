@@ -61,11 +61,11 @@ int main(int argc, char** argv) {
       .value("max-accesses", "M", "check the S-bound for M = 1..M (default 2)")
       .value("seed", "S", "RNG seed for sampled checks (default 1)")
       .flag("replay",
-            "also audit serial == parallel replay equivalence (every mode "
-            "combination, failure windows, sweep sharding) on the (9,3,1) "
-            "and (13,3,1) schemes")
+            "also audit serial == sweep replay equivalence (every mode "
+            "combination and failure windows, replayed as one sharded "
+            "run_jobs batch) on the (9,3,1) and (13,3,1) schemes")
       .value("replay-threads", "N",
-             "parallel engine width for --replay (default 4)")
+             "sweep width for --replay (default 4)")
       .flag("obs",
             "audit the observability layer: replay a set of pipeline "
             "configs on the (9,3,1) scheme and check the recorded metrics, "
@@ -76,9 +76,8 @@ int main(int argc, char** argv) {
             "audit batch-size and cursor-source invariance: every shared "
             "result field, registry metric, and windowed time-series point "
             "must be bit-identical between run() and run_stream() at batch "
-            "sizes 1/7/4096, through the parallel mined-ahead path, the "
-            "generator cursors, and the chunked disksim reader; the seeded "
-            "misdrain defect must trip")
+            "sizes 1/7/4096, through the generator cursors and the chunked "
+            "disksim reader; the seeded misdrain defect must trip")
       .flag("daemon",
             "audit the loopback daemon: a single ordered connection served "
             "through flashqosd's wire protocol (DaemonServer + "
@@ -232,7 +231,7 @@ int main(int argc, char** argv) {
   }
 
   if (replay) {
-    // Serial ≡ parallel replay audit on the paper's two evaluation designs.
+    // Serial ≡ sweep replay audit on the paper's two evaluation designs.
     for (const char* name : {"(9,3,1)", "(13,3,1)"}) {
       for (const auto& e : flashqos::design::catalog()) {
         if (e.name != name) continue;

@@ -129,24 +129,16 @@ Report verify_replay_equivalence(const decluster::AllocationScheme& scheme,
   const auto p_table = core::sample_optimal_probabilities(
       scheme, 24, {.samples_per_size = params.p_samples, .seed = params.seed});
 
-  core::ParallelReplayEngine engine({.threads = params.threads,
-                                     .mining_lookahead = 2});
-
-  const auto check_one = [&](const std::string& name,
-                             const core::PipelineConfig& cfg,
-                             const trace::Trace& t) {
-    const auto serial = core::QosPipeline(scheme, cfg).run(t);
-    const auto parallel = engine.run(scheme, cfg, t);
-    std::string why;
-    bool ok = results_identical(serial, parallel, &why);
-    if (ok) {
-      // The sweep path must agree with the single-replay path too.
-      const core::ReplayJob job{&scheme, &t, cfg};
-      const auto swept = engine.run_jobs({&job, 1});
-      ok = results_identical(serial, swept.at(0), &why);
-      if (!ok) why = "run_jobs path: " + why;
-    }
-    report.add(name, ok, ok ? "" : why);
+  // Every check replays its config serially and as one slot of a single
+  // sharded run_jobs batch, so jobs of every mode run concurrently on the
+  // pool and share the process-wide registries.
+  std::vector<std::string> names;
+  std::vector<core::ReplayJob> jobs;
+  const auto add_case = [&](const std::string& name,
+                            const core::PipelineConfig& cfg,
+                            const trace::Trace& t) {
+    names.push_back(name);
+    jobs.push_back({&scheme, &t, cfg});
   };
 
   const std::pair<core::RetrievalMode, const char*> retrievals[] = {
@@ -177,8 +169,8 @@ Report verify_replay_equivalence(const decluster::AllocationScheme& scheme,
           }
           const std::string combo = std::string(rname) + "/" + aname + "/" +
                                     mname + "/" + sname;
-          check_one(combo + " @synthetic", cfg, synthetic);
-          check_one(combo + " @exchange", cfg, exchange);
+          add_case(combo + " @synthetic", cfg, synthetic);
+          add_case(combo + " @exchange", cfg, exchange);
         }
       }
     }
@@ -197,34 +189,18 @@ Report verify_replay_equivalence(const decluster::AllocationScheme& scheme,
     cfg.faults.outages.push_back({.device = scheme.devices() - 1,
                             .fail_at = from_ms(2.0),
                             .recover_at = core::DeviceFailure::kNeverRecovers});
-    check_one(std::string(rname) + "/det/fim/replica +failures @exchange", cfg,
+    add_case(std::string(rname) + "/det/fim/replica +failures @exchange", cfg,
               exchange);
   }
 
-  // Sweep sharding: a mixed-mode job list replayed as one run_jobs batch
-  // must match per-job serial runs slot for slot.
-  {
-    std::vector<core::ReplayJob> jobs;
-    std::vector<core::PipelineConfig> cfgs(4);
-    cfgs[0].retrieval = core::RetrievalMode::kOnline;
-    cfgs[1].retrieval = core::RetrievalMode::kIntervalAligned;
-    cfgs[2].retrieval = core::RetrievalMode::kOnline;
-    cfgs[2].admission = core::AdmissionMode::kNone;
-    cfgs[2].mapping = core::MappingMode::kModulo;
-    cfgs[3].retrieval = core::RetrievalMode::kIntervalAligned;
-    cfgs[3].scheduler = core::SchedulerMode::kPrimaryOnly;
-    for (const auto& cfg : cfgs) jobs.push_back({&scheme, &exchange, cfg});
-    jobs.push_back({&scheme, &synthetic, cfgs[1]});
-    const auto swept = engine.run_jobs(jobs);
-    bool ok = true;
+  core::ParallelReplayEngine engine({.threads = params.threads});
+  const auto swept = engine.run_jobs(jobs);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto serial =
+        core::QosPipeline(scheme, jobs[i].config).run(*jobs[i].trace);
     std::string why;
-    for (std::size_t i = 0; ok && i < jobs.size(); ++i) {
-      const auto serial =
-          core::QosPipeline(*jobs[i].scheme, jobs[i].config).run(*jobs[i].trace);
-      ok = results_identical(serial, swept[i], &why);
-      if (!ok) why = "job " + std::to_string(i) + ": " + why;
-    }
-    report.add("run_jobs mixed sweep (5 jobs)", ok, ok ? "" : why);
+    const bool ok = results_identical(serial, swept[i], &why);
+    report.add(names[i], ok, ok ? "" : why);
   }
 
   return report;

@@ -2,8 +2,8 @@
 // tests/golden/ replayed through the pipeline, with the full formatted
 // metric snapshot diffed byte-for-byte against a committed .expected.txt.
 // Any change to admission, scheduling, mapping, or the flash timing model
-// shows up as a readable text diff instead of a silent drift — and the
-// parallel engine must reproduce the same snapshot bit for bit. The last
+// shows up as a readable text diff instead of a silent drift — and a
+// run_jobs sweep slot must reproduce the same snapshot bit for bit. The last
 // line digests every per-request outcome, so the snapshots also pin the
 // engine's request-level behaviour, not just its reports.
 //
@@ -107,6 +107,13 @@ std::string format_result(const core::PipelineResult& r) {
   return out.str();
 }
 
+// The same replay as one job of a run_jobs sweep on a 4-thread pool.
+core::PipelineResult swept(const core::PipelineConfig& cfg,
+                           const trace::Trace& t) {
+  const core::ReplayJob job{&scheme931(), &t, cfg};
+  return core::ParallelReplayEngine({.threads = 4}).run_jobs({&job, 1}).at(0);
+}
+
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
   std::ostringstream ss;
@@ -165,9 +172,7 @@ TEST(GoldenReplay, FlatlineOnlineModulo) {
 
   const auto snapshot = format_result(serial);
   check_golden("flatline_online_modulo", snapshot);
-
-  core::ParallelReplayEngine engine({.threads = 4});
-  EXPECT_EQ(format_result(engine.run(scheme931(), cfg, t)), snapshot);
+  EXPECT_EQ(format_result(swept(cfg, t)), snapshot);
 }
 
 // Bursty co-arrivals under interval-aligned retrieval with deterministic
@@ -190,8 +195,7 @@ TEST(GoldenReplay, BurstyAlignedDetFim) {
   const auto snapshot = format_result(serial);
   check_golden("bursty_aligned_det_fim", snapshot);
 
-  core::ParallelReplayEngine engine({.threads = 4, .mining_lookahead = 1});
-  const auto parallel = engine.run(scheme931(), cfg, t);
+  const auto parallel = swept(cfg, t);
   std::string why;
   EXPECT_TRUE(verify::results_identical(serial, parallel, &why)) << why;
   EXPECT_EQ(format_result(parallel), snapshot);
@@ -208,11 +212,7 @@ TEST(GoldenReplay, BurstyOnlineDetFim) {
   const auto serial = core::QosPipeline(scheme931(), cfg).run(t);
   const auto snapshot = format_result(serial);
   check_golden("bursty_online_det_fim", snapshot);
-
-  // kOnline parallel replay is the serial fallback path; it must still
-  // match the snapshot exactly.
-  core::ParallelReplayEngine engine({.threads = 4});
-  EXPECT_EQ(format_result(engine.run(scheme931(), cfg, t)), snapshot);
+  EXPECT_EQ(format_result(swept(cfg, t)), snapshot);
 }
 
 // Multi-tenant WFQ front end fixtures: the trace is generated in-code
@@ -265,10 +265,8 @@ TEST(GoldenReplay, MultiTenantOnlineDet) {
   const auto snapshot = format_result(serial);
   check_golden("multi_tenant_online_det", snapshot);
 
-  // kOnline parallel replay is the serial fallback path; tenant tallies
-  // must survive it bit for bit.
-  core::ParallelReplayEngine engine({.threads = 4});
-  const auto parallel = engine.run(scheme931(), cfg, t);
+  // Tenant tallies must survive the sweep bit for bit.
+  const auto parallel = swept(cfg, t);
   std::string why;
   EXPECT_TRUE(verify::results_identical(serial, parallel, &why)) << why;
   EXPECT_EQ(format_result(parallel), snapshot);
@@ -282,8 +280,7 @@ TEST(GoldenReplay, MultiTenantAlignedDet) {
   const auto snapshot = format_result(serial);
   check_golden("multi_tenant_aligned_det", snapshot);
 
-  core::ParallelReplayEngine engine({.threads = 4, .mining_lookahead = 1});
-  const auto parallel = engine.run(scheme931(), cfg, t);
+  const auto parallel = swept(cfg, t);
   std::string why;
   EXPECT_TRUE(verify::results_identical(serial, parallel, &why)) << why;
   EXPECT_EQ(format_result(parallel), snapshot);

@@ -1,9 +1,10 @@
 // Determinism-equivalence suite for the parallel replay engine: every
-// result it produces must be bit-identical to the serial QosPipeline — per
-// mode combination, under failure windows, for any thread count or
-// handoff-queue capacity, and through the sharded sweep paths.
+// sweep slot it produces must be bit-identical to the serial QosPipeline —
+// per mode combination, under failure windows, for any thread count, and
+// whatever else runs beside it in the batch.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -55,9 +56,29 @@ void expect_identical(const core::PipelineResult& serial,
       << what << ": " << why;
 }
 
+// Replay `jobs` as one run_jobs batch at 1, 2 and 8 threads and compare
+// every slot with that job's serial run(). Returns the serial results.
+std::vector<core::PipelineResult> expect_sweeps_match_serial(
+    std::span<const core::ReplayJob> jobs, const char* what) {
+  std::vector<core::PipelineResult> serial;
+  for (const auto& j : jobs) {
+    serial.push_back(core::QosPipeline(*j.scheme, j.config).run(*j.trace));
+  }
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    core::ParallelReplayEngine engine({.threads = threads});
+    const auto swept = engine.run_jobs(jobs);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      std::ostringstream where;
+      where << what << " job " << i << " threads=" << threads;
+      expect_identical(serial[i], swept.at(i), where.str().c_str());
+    }
+  }
+  return serial;
+}
+
 // The full oracle: every {RetrievalMode × AdmissionMode × MappingMode ×
 // SchedulerMode} combination on a synthetic trace and on a truncated
-// Exchange-style trace, plus failure windows and a mixed sweep. One gtest
+// Exchange-style trace, plus failure windows, as one run_jobs batch. One gtest
 // assertion per oracle check so a regression names the exact combination.
 TEST(ParallelReplayEquivalence, AllModeCombinations) {
   const auto report = verify::verify_replay_equivalence(
@@ -69,42 +90,36 @@ TEST(ParallelReplayEquivalence, AllModeCombinations) {
   EXPECT_GE(report.checks().size(), 2u * 3u * 2u * 2u * 2u);
 }
 
+// Copies of one aligned+FIM job replay concurrently; each copy mines its
+// own FIM slices inline and must match the serial run exactly.
 TEST(ParallelReplayEquivalence, AlignedFimExchangeDirect) {
   const auto t = exchange_small();
-  const auto cfg = aligned_fim();
-  const auto serial = core::QosPipeline(scheme931(), cfg).run(t);
-  core::ParallelReplayEngine engine({.threads = 4});
-  expect_identical(serial, engine.run(scheme931(), cfg, t), "aligned/det/fim");
+  const std::vector<core::ReplayJob> jobs(
+      3, core::ReplayJob{&scheme931(), &t, aligned_fim()});
+  const auto serial = expect_sweeps_match_serial(jobs, "aligned/det/fim");
   // Sanity that the comparison is not vacuous: the trace actually
   // exercises deferrals and FIM matches.
-  EXPECT_GT(serial.overall.requests, 500u);
-  EXPECT_GT(serial.overall.fim_match_rate, 0.0);
+  EXPECT_GT(serial[0].overall.requests, 500u);
+  EXPECT_GT(serial[0].overall.fim_match_rate, 0.0);
 }
 
+// The aligned+FIM job beside jobs of other lengths and modes, so the
+// completion order changes with the thread count; slots must not.
 TEST(ParallelReplayEquivalence, ThreadCountInvariance) {
   const auto t = exchange_small();
-  const auto cfg = aligned_fim();
-  const auto serial = core::QosPipeline(scheme931(), cfg).run(t);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    core::ParallelReplayEngine engine({.threads = threads});
-    std::ostringstream what;
-    what << "threads=" << threads;
-    expect_identical(serial, engine.run(scheme931(), cfg, t), what.str().c_str());
-  }
-}
-
-// Capacity-1 handoff queue maximizes backpressure blocking on both sides;
-// results must not change.
-TEST(ParallelReplayEquivalence, LookaheadOneStillIdentical) {
-  const auto t = exchange_small();
-  const auto cfg = aligned_fim();
-  const auto serial = core::QosPipeline(scheme931(), cfg).run(t);
-  core::ParallelReplayEngine engine({.threads = 4, .mining_lookahead = 1});
-  expect_identical(serial, engine.run(scheme931(), cfg, t), "lookahead=1");
+  auto online = aligned_fim();
+  online.retrieval = core::RetrievalMode::kOnline;
+  auto modulo = aligned_fim();
+  modulo.mapping = core::MappingMode::kModulo;
+  const std::vector<core::ReplayJob> jobs{{&scheme931(), &t, aligned_fim()},
+                                          {&scheme931(), &t, online},
+                                          {&scheme931(), &t, modulo}};
+  expect_sweeps_match_serial(jobs, "exchange modes");
 }
 
 TEST(ParallelReplayEquivalence, DeviceFailureWindows) {
   const auto t = synthetic_small();
+  std::vector<core::ReplayJob> jobs;
   for (const auto retrieval : {core::RetrievalMode::kIntervalAligned,
                                core::RetrievalMode::kOnline}) {
     auto cfg = aligned_fim();
@@ -115,20 +130,19 @@ TEST(ParallelReplayEquivalence, DeviceFailureWindows) {
     cfg.faults.outages.push_back({.device = 5,
                             .fail_at = from_ms(10.0),
                             .recover_at = core::DeviceFailure::kNeverRecovers});
-    const auto serial = core::QosPipeline(scheme931(), cfg).run(t);
-    core::ParallelReplayEngine engine({.threads = 3});
-    expect_identical(serial, engine.run(scheme931(), cfg, t), "failures");
+    jobs.push_back({&scheme931(), &t, cfg});
   }
+  expect_sweeps_match_serial(jobs, "failures");
 }
 
 // Randomized full fault plans — scripted outages plus seeded transient /
 // spike generators, rebuild, and retry timeouts — must also replay
 // bit-identically: the compiled schedule is a pure function of the config,
-// so every shard sees the same faults.
+// so every shard sees the same faults as its serial twin.
 TEST(ParallelReplayEquivalence, RandomizedFaultPlans) {
   const auto t = synthetic_small();
   Rng g(331);
-  core::ParallelReplayEngine engine({.threads = 3});
+  std::vector<core::ReplayJob> jobs;
   for (int round = 0; round < 4; ++round) {
     auto cfg = aligned_fim();
     cfg.retrieval = round % 2 == 0 ? core::RetrievalMode::kOnline
@@ -149,16 +163,13 @@ TEST(ParallelReplayEquivalence, RandomizedFaultPlans) {
       cfg.faults.rebuild.pages_per_second = 30000.0;
     }
     if (round == 3) cfg.faults.retry.timeout = from_ms(3.0);
-    const auto serial = core::QosPipeline(scheme931(), cfg).run(t);
-    std::ostringstream what;
-    what << "fault plan round " << round;
-    expect_identical(serial, engine.run(scheme931(), cfg, t),
-                     what.str().c_str());
+    jobs.push_back({&scheme931(), &t, cfg});
   }
+  expect_sweeps_match_serial(jobs, "fault plan round");
 }
 
-// Multi-tenant front end: the WFQ scheduler runs inside the serial replay
-// core, so tenant verdicts, tallies, and dispatch order must be
+// Multi-tenant front end: the WFQ scheduler runs inside each job's replay,
+// so tenant verdicts, tallies, and dispatch order must be
 // thread-count-invariant exactly like every other stage. The mix includes
 // a pulsed tenant (idles and re-enters backlog, exercising renormalization)
 // and a flooder that sheds, so the tenant fields being compared are live.
@@ -191,22 +202,16 @@ core::PipelineConfig multi_tenant_cfg(core::RetrievalMode retrieval) {
 
 TEST(ParallelReplayEquivalence, MultiTenantThreadCountInvariance) {
   const auto t = multi_tenant_small();
+  std::vector<core::ReplayJob> jobs;
   for (const auto retrieval : {core::RetrievalMode::kOnline,
                                core::RetrievalMode::kIntervalAligned}) {
-    const auto cfg = multi_tenant_cfg(retrieval);
-    const auto serial = core::QosPipeline(scheme931(), cfg).run(t);
+    jobs.push_back({&scheme931(), &t, multi_tenant_cfg(retrieval)});
+  }
+  for (const auto& serial : expect_sweeps_match_serial(jobs, "tenants")) {
     // Not vacuous: backpressure fired and tenant tallies are non-trivial.
     EXPECT_GT(serial.tenant_usage[2].shed, 0u);
     EXPECT_GT(serial.tenant_usage[2].marked, 0u);
     EXPECT_EQ(serial.tenant_usage[0].shed, 0u);
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      core::ParallelReplayEngine engine({.threads = threads});
-      std::ostringstream what;
-      what << "tenants retrieval=" << static_cast<int>(retrieval)
-           << " threads=" << threads;
-      expect_identical(serial, engine.run(scheme931(), cfg, t),
-                       what.str().c_str());
-    }
   }
 }
 

@@ -1,7 +1,6 @@
 // Concurrency stress for the parallel replay machinery, written to give
 // ThreadSanitizer something to chew on: many producers and consumers on a
-// tiny HandoffQueue, repeated sharded sweeps, and the pipelined mining path
-// under maximum backpressure. The assertions are deliberately simple — the
+// tiny HandoffQueue and repeated sharded sweeps. The assertions are deliberately simple — the
 // point of these tests is the interleavings, and TSan turns any data race
 // or lock-order bug they expose into a hard failure.
 #include <gtest/gtest.h>
@@ -104,31 +103,13 @@ const decluster::DesignTheoretic& scheme931() {
 
 trace::Trace tiny_interval_trace(std::uint64_t seed) {
   // Tiny intervals -> one reporting slice per QoS interval -> hundreds of
-  // mining tasks per replay, maximizing producer/consumer churn.
+  // FIM rollovers per replay.
   trace::SyntheticParams p;
   p.bucket_pool = scheme931().buckets();
   p.requests_per_interval = 3;
   p.total_requests = 900;
   p.seed = seed;
   return trace::generate_synthetic(p);
-}
-
-// Pipelined mining with lookahead 1 (every push blocks until the replay
-// core consumes the previous slice) repeated back to back; TSan watches the
-// queue handoff, the miner error path, and the metric-stage parallel_for.
-TEST(ParallelReplayStress, PipelinedMiningUnderBackpressure) {
-  const auto t = tiny_interval_trace(17);
-  core::PipelineConfig cfg;
-  cfg.retrieval = core::RetrievalMode::kIntervalAligned;
-  cfg.mapping = core::MappingMode::kFim;
-  core::ParallelReplayEngine engine({.threads = 4, .mining_lookahead = 1});
-  const auto first = engine.run(scheme931(), cfg, t);
-  for (int round = 0; round < 3; ++round) {
-    const auto again = engine.run(scheme931(), cfg, t);
-    std::string why;
-    ASSERT_TRUE(verify::results_identical(first, again, &why))
-        << "round " << round << ": " << why;
-  }
 }
 
 // Sharded sweep stress: a wide job list (several distinct traces x modes),
@@ -226,9 +207,9 @@ TEST(TenantIngressStress, CloseWakesBlockedDrainer) {
   }
 }
 
-// Multi-tenant pipeline repeated on one engine: the tenant dispatch path
-// (interval rollover, wake machinery, budget draws) under the parallel
-// engine's threading, with results pinned across rounds.
+// Multi-tenant jobs swept repeatedly on one engine: the tenant dispatch
+// path (interval rollover, wake machinery, budget draws) runs in several
+// workers at once, with every slot pinned across rounds.
 TEST(ParallelReplayStress, MultiTenantRepeatedRuns) {
   trace::MultiTenantParams mt;
   mt.intervals = 150;
@@ -248,14 +229,19 @@ TEST(ParallelReplayStress, MultiTenantRepeatedRuns) {
       {.name = "flood", .weight = 1.0, .reservation = 0,
        .queue_capacity = 8, .mark_threshold = 6},
   };
-  core::ParallelReplayEngine engine({.threads = 4, .mining_lookahead = 1});
-  const auto first = engine.run(scheme931(), cfg, t);
-  EXPECT_GT(first.tenant_usage[1].shed, 0u);
+  std::vector<core::ReplayJob> jobs(4, core::ReplayJob{&scheme931(), &t, cfg});
+  jobs[1].config.retrieval = core::RetrievalMode::kOnline;
+  jobs[3].config.retrieval = core::RetrievalMode::kOnline;
+  core::ParallelReplayEngine engine({.threads = 4});
+  const auto first = engine.run_jobs(jobs);
+  EXPECT_GT(first[0].tenant_usage[1].shed, 0u);
   for (int round = 0; round < 3; ++round) {
-    const auto again = engine.run(scheme931(), cfg, t);
-    std::string why;
-    ASSERT_TRUE(verify::results_identical(first, again, &why))
-        << "round " << round << ": " << why;
+    const auto again = engine.run_jobs(jobs);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      std::string why;
+      ASSERT_TRUE(verify::results_identical(first[i], again[i], &why))
+          << "round " << round << " job " << i << ": " << why;
+    }
   }
 }
 
