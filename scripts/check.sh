@@ -11,8 +11,11 @@
 #      interleaving of the bounded ThreadPool / HandoffQueue / MetricRegistry
 #      models, with vector-clock race, deadlock, and lost-wakeup detection
 #   4. the test suite under AddressSanitizer + UndefinedBehaviorSanitizer
-#   5. the test suite under ThreadSanitizer
-#   6. the design-invariant verifier (flashqos_verify) over every catalog
+#   5. an obs-off build (-DFLASHQOS_OBS=OFF, every instrument compiled out)
+#      and the plain ctest suite: the golden snapshots must still match
+#      byte for byte, so no result depends on an instrumentation block
+#   6. the test suite under ThreadSanitizer
+#   7. the design-invariant verifier (flashqos_verify) over every catalog
 #      design with N <= 64, plus the serial ≡ sweep replay-equivalence
 #      audit (every mode combination and failure windows replayed as one
 #      sharded run_jobs batch, each slot against serial run()), the
@@ -31,10 +34,10 @@
 #      daemon-identity audit (--daemon: results served over a real loopback flashqosd
 #      session field-identical to in-process replay, including
 #      multi-connection interleavings, clamping, and mid-session flushes)
-#   7. flashqosd lifecycle smoke: start the daemon on an ephemeral port
+#   8. flashqosd lifecycle smoke: start the daemon on an ephemeral port
 #      from a generated config, parse its listen line, SIGTERM it, and
 #      require a clean drain and exit 0
-#   8. clang-tidy over src/ (skipped with a warning if clang-tidy is not
+#   9. clang-tidy over src/ (skipped with a warning if clang-tidy is not
 #      installed — stages 2–3 are the always-on static gate; clang-tidy is
 #      an extra when a clang toolchain is around)
 #
@@ -63,20 +66,20 @@ banner() {
   echo "==================================================================="
 }
 
-banner "1/8 warnings-as-errors build + ctest"
+banner "1/9 warnings-as-errors build + ctest"
 run cmake -B build-werror -S . -DFLASHQOS_WERROR=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 run cmake --build build-werror -j "$JOBS"
 run ctest --test-dir build-werror --output-on-failure -j "$JOBS"
 
-banner "2/8 flashqos_lint (contract linter)"
+banner "2/9 flashqos_lint (contract linter)"
 run ./build-werror/src/lint/flashqos_lint --root src \
   --baseline scripts/lint_baseline.txt
 
-banner "3/8 schedule-exhaustive model checking"
+banner "3/9 schedule-exhaustive model checking"
 run ./build-werror/src/verify/flashqos_verify --model
 
-banner "4/8 ASan + UBSan"
+banner "4/9 ASan + UBSan"
 run cmake -B build-asan -S . -DFLASHQOS_WERROR=ON -DFLASHQOS_SANITIZE=address \
   -DFLASHQOS_BUILD_BENCH=OFF -DFLASHQOS_BUILD_EXAMPLES=OFF \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
@@ -85,8 +88,14 @@ ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1:detect_stack_use_after_retur
 UBSAN_OPTIONS="print_stacktrace=1" \
   run ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
+banner "5/9 obs-off build + ctest (instrumentation compiled out)"
+run cmake -B build-obsoff -S . -DFLASHQOS_OBS=OFF -DFLASHQOS_WERROR=ON \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
+run cmake --build build-obsoff -j "$JOBS"
+run ctest --test-dir build-obsoff --output-on-failure -j "$JOBS"
+
 if [[ $QUICK -eq 0 ]]; then
-  banner "5/8 TSan"
+  banner "6/9 TSan"
   run cmake -B build-tsan -S . -DFLASHQOS_WERROR=ON -DFLASHQOS_SANITIZE=thread \
     -DFLASHQOS_BUILD_BENCH=OFF -DFLASHQOS_BUILD_EXAMPLES=OFF \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
@@ -94,13 +103,13 @@ if [[ $QUICK -eq 0 ]]; then
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     run ctest --test-dir build-tsan --output-on-failure -j "$JOBS"
 else
-  banner "5/8 TSan — SKIPPED (--quick)"
+  banner "6/9 TSan — SKIPPED (--quick)"
 fi
 
-banner "6/8 design-invariant verifier (catalog, N <= 64) + replay equivalence + obs audit + chaos audit + fairness audit + stream audit + daemon audit"
+banner "7/9 design-invariant verifier (catalog, N <= 64) + replay equivalence + obs audit + chaos audit + fairness audit + stream audit + daemon audit"
 run ./build-werror/src/verify/flashqos_verify --max-devices 64 --replay --obs --faults --fairness --stream --daemon
 
-banner "7/8 flashqosd lifecycle smoke (ephemeral port, loopback batch, clean drain)"
+banner "8/9 flashqosd lifecycle smoke (ephemeral port, loopback batch, clean drain)"
 daemon_smoke() {
   # $1: "probe" (drive one batch; end-session drains the daemon) or
   #     "sigterm" (no traffic; the signal forces the drain).
@@ -133,7 +142,7 @@ daemon_smoke() {
 daemon_smoke probe
 daemon_smoke sigterm
 
-banner "8/8 clang-tidy (optional extra)"
+banner "9/9 clang-tidy (optional extra)"
 if command -v clang-tidy > /dev/null 2>&1; then
   run cmake -B build-tidy -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
@@ -141,7 +150,7 @@ if command -v clang-tidy > /dev/null 2>&1; then
     | xargs -0 -n 1 -P "$JOBS" clang-tidy -p build-tidy --quiet --warnings-as-errors='*'
 else
   echo "NOTE: clang-tidy not found on PATH; skipping the optional pass" >&2
-  echo "      (the in-tree flashqos_lint gate already ran in stage 2/8)." >&2
+  echo "      (the in-tree flashqos_lint gate already ran in stage 2/9)." >&2
 fi
 
 banner "all checks passed"

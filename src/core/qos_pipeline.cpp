@@ -46,10 +46,11 @@ namespace {
 
 inline constexpr std::size_t kPathCount = 10;
 
-/// Pipeline-level registry handles, resolved once. The per-event live
-/// increments (dispatches, deferrals, write replica ops) are single relaxed
-/// fetch_adds; everything else is folded from the outcomes vector after the
-/// replay loop finishes, so the hot loop's cost stays negligible.
+/// Pipeline-level registry handles, resolved once. Per-event tallies
+/// (dispatches, deferrals, write replica ops, map calls) count in engine
+/// locals published once per replay; per-request counters and histograms
+/// fold through OutcomeObsFolder as each slot finalizes, so the hot loop
+/// never touches a shared counter.
 struct PipelineMetrics {
   obs::Counter& requests;
   obs::Counter& reads_served;
@@ -60,6 +61,7 @@ struct PipelineMetrics {
   obs::Counter& dispatches;
   obs::Counter& write_replica_ops;
   obs::Counter& deferral_events;
+  obs::Counter& map_calls;
   obs::LatencyHistogram& response_ns;
   obs::LatencyHistogram& delay_ns;
   obs::LatencyHistogram& e2e_ns;
@@ -83,6 +85,7 @@ struct PipelineMetrics {
                         reg.counter("pipeline.dispatches"),
                         reg.counter("pipeline.write_replica_ops"),
                         reg.counter("pipeline.deferral_events"),
+                        reg.counter("pipeline.work.map_calls"),
                         reg.histogram("pipeline.response_ns"),
                         reg.histogram("pipeline.delay_ns"),
                         reg.histogram("pipeline.e2e_ns"),
@@ -558,8 +561,8 @@ namespace {
 /// Array ids for per-replica write ops and background rebuild reads —
 /// anything whose completion is not a trace outcome. The base sits far
 /// above any realistic trace index so the id space never collides with
-/// request indices in either replay mode (the simulator breaks event ties
-/// by submission sequence, never by id, so the value itself is inert).
+/// request indices (the simulator breaks event ties by submission
+/// sequence, never by id, so the value itself is inert).
 inline constexpr std::uint64_t kBackgroundIdBase = std::uint64_t{1} << 62;
 
 /// drain() bound that pops every queued dispatch (no real dispatch instant
@@ -650,7 +653,9 @@ class ReplayEngine {
         mapper_(scheme),
         det_(scheme.copies(), cfg.access_budget),
         matcher_(scheme),
-        tenant_mode_(!cfg.tenants.empty()) {}
+        tenant_mode_(!cfg.tenants.empty()),
+        slot_matching_(cfg.scheduler == SchedulerMode::kReplicaScheduled &&
+                       cfg.retrieval == RetrievalMode::kOnline) {}
 
   StreamResult run(trace::TraceCursor& cursor, const StreamOptions& opts) {
     FLASHQOS_EXPECT(opts.batch_size > 0, "stream batch size must be positive");
@@ -806,9 +811,9 @@ class ReplayEngine {
     }
 
     // Fault state. The compiled plan is a pure function of (plan, scheme,
-    // horizon), so the serial engine and every parallel shard materialize
-    // identical fault schedules — serial ≡ parallel bit-identity holds
-    // under any plan. An empty plan takes none of the fault branches.
+    // horizon), so a serial run() and every run_jobs job materialize
+    // identical fault schedules — serial ≡ sweep bit-identity holds under
+    // any plan. An empty plan takes none of the fault branches.
     injector_.emplace(cfg_.faults, scheme_, horizon);
     faults_active_ = injector_->active();
     retry_timeout_ = injector_->compiled().retry_timeout;
@@ -980,16 +985,6 @@ class ReplayEngine {
     }
   }
 
-  /// Deterministic admission against the *live* budget (S while healthy,
-  /// S' while degraded). DeterministicAdmission itself stays fixed at S;
-  /// only this wrapper tracks the adaptive limit.
-  [[nodiscard]] std::uint64_t accept_det(std::uint64_t already,
-                                         std::uint64_t count) const {
-    return already >= det_limit_now_
-               ? 0
-               : std::min<std::uint64_t>(count, det_limit_now_ - already);
-  }
-
   /// Adaptive degraded-mode budgets. While devices are down, deterministic
   /// admission runs against the surviving sub-design's guarantee
   /// S' = (c-f-1)M² + (c-f)M (f = worst-case dead replicas over buckets
@@ -1062,7 +1057,7 @@ class ReplayEngine {
     mark_dispatched(idx);
     if constexpr (obs::kEnabled) {
       ++dispatches_tally_;
-      // Window tallies key on the dispatch instant (== the loop's `now` at
+      // Window tallies key on the dispatch instant (== `now_` at
       // every call site), which always lies in the open QoS window.
       const SimTime at = o.dispatch;
       const std::int64_t resp = o.finish - o.dispatch;
@@ -1111,30 +1106,67 @@ class ReplayEngine {
     }
   }
 
-  /// One same-instant dispatch group: pop it, roll the FIM/QoS intervals
-  /// forward, and run the admission/scheduling paths. Loop state lives in
-  /// members so ingestion can interleave between groups.
+  // ---- one dispatch instant ------------------------------------------------
+
+  /// One same-instant dispatch group, as the paper's per-instant steps.
+  /// Each phase is one member below; per-instant state (now_, group_ and
+  /// buckets_, the batch/surplus lists, requeue_) lives in members so
+  /// steady-state instants allocate nothing and ingestion can interleave
+  /// between groups.
+  ///  1. pop_group, roll_over — pop the group (dropping stale WFQ wakes),
+  ///     submit due rebuild reads, advance the simulator, roll the FIM
+  ///     mapping and the QoS interval forward;
+  ///  2. resolve — count demand, map blocks to buckets, stamp the
+  ///     tentative outcome;
+  ///  3. check_availability — mask down devices, retry or fail requests
+  ///     whose replicas are all down;
+  ///  4. place_writes — replicate writes to every live copy;
+  ///  5. admit (single-tenant budget) or enqueue_fresh + dispense (WFQ, in
+  ///     virtual-finish order) — fill the batch and surplus lists;
+  ///  6. place — one placement path for both front ends;
+  ///  7. requeue — deferrals, boundary wakes and retries re-enter the
+  ///     dispatch queue.
   void process_group() {
-    const SimTime now = queue_.top().dispatch;
+    pop_group();
+    roll_over();
+    resolve();
+    if (faults_active_) check_availability();
+    place_writes();
+    if (tenant_mode_) {
+      enqueue_fresh();
+      dispense();
+    } else {
+      admit();
+    }
+    place();
+    requeue();
+  }
+
+  /// Pop every entry dispatching at the earliest queued instant, drop
+  /// stale WFQ wakes (requests dispensed or failed at an earlier instant
+  /// while their boundary wake was pending), then bring the rebuild stream
+  /// and the simulator up to the instant.
+  void pop_group() {
+    now_ = queue_.top().dispatch;
     group_.clear();
-    while (!queue_.empty() && queue_.top().dispatch == now) {
+    while (!queue_.empty() && queue_.top().dispatch == now_) {
       group_.push_back(queue_.top());
       queue_.pop();
     }
     if (tenant_mode_) {
-      // Drop stale wakes: requests dispensed (or failed) at an earlier
-      // instant while their boundary wake was still pending.
-      std::erase_if(group_,
-                    [&](const Pending& g) { return tst(g.idx) == 2; });
+      std::erase_if(group_, [&](const Pending& g) { return tst(g.idx) == 2; });
     }
-    if (faults_active_) submit_rebuild_due(now);
-    array_->run_until(now);
+    if (faults_active_) submit_rebuild_due(now_);
+    array_->run_until(now_);
+  }
 
-    // Reporting-interval rollover: rebuild the FIM mapping from the slice
-    // that just closed (paper: "we use the trace one previous than the
-    // current interval for mining").
+  /// Reporting-interval rollover rebuilds the FIM mapping from the slice
+  /// that just closed (paper: "we use the trace one previous than the
+  /// current interval for mining"); QoS-interval rollover closes the
+  /// admission interval and resets its budget.
+  void roll_over() {
     if (mines_fim()) {
-      const auto target = static_cast<std::size_t>(now / report_interval_);
+      const auto target = static_cast<std::size_t>(now_ / report_interval_);
       while (report_idx_ < target && report_idx_ < mine_limit_) {
         mapper_.rebuild(fim::mine_pairs_apriori(take_slice_db(report_idx_),
                                                 cfg_.fim_min_support)
@@ -1142,631 +1174,534 @@ class ReplayEngine {
         ++report_idx_;
       }
     }
-
-    // QoS interval rollover: reset the admission budget.
-    const std::int64_t qi = now / T_;
-    if (qi != current_qi_) {
-      if (stat_.has_value() && current_qi_ >= 0) {
-        stat_->end_interval(demand_, admitted_);
-      }
-      if constexpr (obs::kEnabled) {
-        if (current_qi_ >= 0) {
-          obs::Tracer::global().record(
-              {.request = -1,
-               .start = now,
-               .end = now,
-               .value = static_cast<std::int64_t>(admitted_),
-               .device = -1,
-               .kind = obs::EventKind::kInterval,
-               .detail = obs::EventDetail::kNone});
-          flush_windows(current_qi_);
-        }
-      }
-      current_qi_ = qi;
-      admitted_ = 0;
-      demand_ = 0;
-      if (tenant_mode_) {
-        // Depth sampled at the boundary = backlog carried across it.
-        ts_->observe_depths();
-        if constexpr (obs::kEnabled) {
-          for (std::size_t k = 0; k < depth_hist_.size(); ++k) {
-            depth_hist_[k]->record(static_cast<std::int64_t>(ts_->depth(k)));
-          }
-        }
-        ts_->begin_interval(det_limit_now_);
+    const std::int64_t qi = now_ / T_;
+    if (qi == current_qi_) return;
+    if (stat_.has_value() && current_qi_ >= 0) {
+      stat_->end_interval(demand_, admitted_);
+    }
+    if constexpr (obs::kEnabled) {
+      if (current_qi_ >= 0) {
+        obs::Tracer::global().record(
+            {.request = -1,
+             .start = now_,
+             .end = now_,
+             .value = static_cast<std::int64_t>(admitted_),
+             .device = -1,
+             .kind = obs::EventKind::kInterval,
+             .detail = obs::EventDetail::kNone});
+        flush_windows(current_qi_);
       }
     }
-    // Q estimate for this interval (constant between end_interval calls);
-    // recorded on every outcome dispatched at this instant.
+    current_qi_ = qi;
+    admitted_ = 0;
+    demand_ = 0;
+    if (tenant_mode_) {
+      // Depth sampled at the boundary = backlog carried across it.
+      ts_->observe_depths();
+      if constexpr (obs::kEnabled) {
+        for (std::size_t k = 0; k < depth_hist_.size(); ++k) {
+          depth_hist_[k]->record(static_cast<std::int64_t>(ts_->depth(k)));
+        }
+      }
+      ts_->begin_interval(det_limit_now_);
+    }
+  }
+
+  /// Count read demand (writes bypass read admission), resolve buckets
+  /// through the mapper and stamp each member's dispatch tentatively (a
+  /// deferred request's outcome is overwritten on its next pass).
+  void resolve() {
+    // Q estimate for this interval (constant between end_interval calls).
     const auto q_ppm =
         stat_.has_value()
             ? static_cast<std::int32_t>(std::llround(stat_->q_with() * 1e6))
             : 0;
-    for (const auto& g : group_) {
-      if (ev(g.idx).is_read) ++demand_;  // writes bypass read admission
-    }
-
-    // Resolve buckets through the mapper; record dispatch tentatively (a
-    // deferred request's outcome is overwritten on its next pass).
     buckets_.resize(group_.size());
     for (std::size_t i = 0; i < group_.size(); ++i) {
-      const auto m = mapper_.map(ev(group_[i].idx).block);
+      const auto& e = ev(group_[i].idx);
+      if (e.is_read) ++demand_;
+      const auto m = mapper_.map(e.block);
       buckets_[i] = m.bucket;
       auto& o = out(group_[i].idx);
-      o.dispatch = now;
+      o.dispatch = now_;
       o.fim_matched = cfg_.mapping == MappingMode::kFim && m.matched;
       o.q_ppm = q_ppm;
-      o.tenant = ev(group_[i].idx).tenant;
+      o.tenant = e.tenant;
     }
+    if constexpr (obs::kEnabled) map_calls_tally_ += group_.size();
+  }
 
-    const auto defer = [&](const Pending& p) {
-      Pending d = p;
-      d.dispatch = (qi + 1) * T_;
-      queue_.push(d);
-      if constexpr (obs::kEnabled) ++deferrals_tally_;
-    };
-
-    // Device availability at this instant. Requests whose replicas are all
-    // down either wait for the earliest recovery (re-queued with retry
-    // accounting) or are marked failed — when no replica ever comes back,
-    // or when the wait would blow the plan's retry timeout. (`available`
-    // stays empty — meaning all-up — while zero devices are down, so a
-    // fully recovered array is indistinguishable from a healthy one.)
-    if (faults_active_) {
-      const std::uint32_t down =
-          injector_->fill_availability(now, scheme_.devices(), mask_scratch_);
-      if (down == 0) {
-        available_.clear();
-      } else {
-        available_ = mask_scratch_;
-      }
-      if (available_ != live_mask_) {
-        live_mask_ = available_;
-        update_budgets();
-      }
-      if (down > 0) {
-        if (qi != last_degraded_qi_) {
-          ++degraded_interval_tally_;
-          last_degraded_qi_ = qi;
-        }
-        live_.clear();
-        live_buckets_.clear();
-        for (std::size_t i = 0; i < group_.size(); ++i) {
-          if (tenant_mode_ && ev(group_[i].idx).is_read) {
-            // Reads pass through: stranded heads are handled at dispense
-            // time (strand_check below), where the WFQ queue can drop
-            // them; failing them here would leave stale queue entries.
-            live_.push_back(group_[i]);
-            live_buckets_.push_back(buckets_[i]);
-            continue;
-          }
-          const auto reps = scheme_.replicas(buckets_[i]);
-          if (std::any_of(reps.begin(), reps.end(),
-                          [&](DeviceId d) { return available_[d]; })) {
-            live_.push_back(group_[i]);
-            live_buckets_.push_back(buckets_[i]);
-            continue;
-          }
-          // Stranded: earliest instant any replica is up again (chasing
-          // chained windows), pushed out to the next interval boundary.
-          SimTime recovery = DeviceFailure::kNeverRecovers;
-          for (const auto d : reps) {
-            recovery = std::min(recovery, injector_->device_up_at(d, now));
-          }
-          auto& o = out(group_[i].idx);
-          SimTime next_dispatch = 0;
-          if (recovery != DeviceFailure::kNeverRecovers) {
-            next_dispatch =
-                std::max((qi + 1) * T_, next_interval_start(recovery, T_));
-          }
-          const bool timed_out =
-              recovery != DeviceFailure::kNeverRecovers &&
-              retry_timeout_ != fault::RetryPolicy::kNoTimeout &&
-              next_dispatch - o.arrival > retry_timeout_;
-          if (recovery == DeviceFailure::kNeverRecovers || timed_out) {
-            o.failed = true;
-            o.start = now;
-            o.finish = now;
-            o.path = RetrievalPath::kFailed;
-            if (timed_out) ++timeouts_tally_;
-            if constexpr (obs::kEnabled) agg_failed_.add(now, 1);
-            mark_final(group_[i].idx);
-            continue;
-          }
-          Pending p = group_[i];
-          p.dispatch = next_dispatch;
-          queue_.push(p);
+  /// Device availability at this instant: refresh the degraded budgets
+  /// when the down-set changes, then settle every member with no live
+  /// replica by the strand rule — requeued for a retry, or failed. In
+  /// tenant mode reads pass through: a stranded head is settled at
+  /// dispense time, where its WFQ queue can drop it. (`available_` stays
+  /// empty — all up — while no device is down, so a fully recovered array
+  /// is indistinguishable from a healthy one.)
+  void check_availability() {
+    const std::uint32_t down =
+        injector_->fill_availability(now_, scheme_.devices(), mask_scratch_);
+    if (down == 0) {
+      available_.clear();
+    } else {
+      available_ = mask_scratch_;
+    }
+    if (available_ != live_mask_) {
+      live_mask_ = available_;
+      update_budgets();
+    }
+    if (down == 0) return;
+    if (current_qi_ != last_degraded_qi_) {
+      ++degraded_interval_tally_;
+      last_degraded_qi_ = current_qi_;
+    }
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < group_.size(); ++i) {
+      const std::size_t id = group_[i].idx;
+      if (!(tenant_mode_ && ev(id).is_read)) {
+        const Strand s = strand(id, buckets_[i]);
+        if (s.kind == Strand::kWait) {
+          requeue_.push_back(Pending{s.retry_at, id});
           ++retries_tally_;
         }
-        std::swap(group_, live_);
-        std::swap(buckets_, live_buckets_);
-        // Tenant mode proceeds even with an empty group: queued backlog
-        // may still be dispensable at this instant.
-        if (group_.empty() && !tenant_mode_) return;
+        if (s.kind != Strand::kLive) continue;
+      }
+      group_[kept] = group_[i];
+      buckets_[kept++] = buckets_[i];
+    }
+    group_.resize(kept);
+    buckets_.resize(kept);
+  }
+
+  /// A request's fate when every replica of its bucket may be down.
+  struct Strand {
+    enum Kind : std::uint8_t { kLive, kWait, kFailed } kind = kLive;
+    SimTime retry_at = 0;  // kWait: the boundary to retry at
+  };
+
+  /// The strand rule, shared by the group filter and WFQ dispense: live
+  /// while some replica is up; otherwise wait for the first boundary after
+  /// the earliest recovery (chasing chained windows), or — when no replica
+  /// ever comes back, or the wait would exceed the plan's retry timeout —
+  /// fail, stamped here.
+  [[nodiscard]] Strand strand(std::size_t id, BucketId bucket) {
+    if (available_.empty()) return {};
+    const auto reps = scheme_.replicas(bucket);
+    if (std::any_of(reps.begin(), reps.end(),
+                    [&](DeviceId d) { return available_[d]; })) {
+      return {};
+    }
+    SimTime recovery = DeviceFailure::kNeverRecovers;
+    for (const auto d : reps) {
+      recovery = std::min(recovery, injector_->device_up_at(d, now_));
+    }
+    if (recovery != DeviceFailure::kNeverRecovers) {
+      const SimTime retry_at =
+          std::max(next_boundary(), next_interval_start(recovery, T_));
+      if (retry_timeout_ == fault::RetryPolicy::kNoTimeout ||
+          retry_at - out(id).arrival <= retry_timeout_) {
+        return {Strand::kWait, retry_at};
+      }
+      ++timeouts_tally_;
+    }
+    finish_unserved(id, RetrievalPath::kFailed);
+    return {Strand::kFailed, 0};
+  }
+
+  /// Final outcome of a request that never reaches a device: failed, or
+  /// shed at the WFQ front end. Stamped at this instant so neither can
+  /// distort the latency populations.
+  void finish_unserved(std::size_t id, RetrievalPath path) {
+    auto& o = out(id);
+    o.dispatch = now_;
+    o.start = now_;
+    o.finish = now_;
+    o.failed = true;
+    o.path = path;
+    tst(id) = 2;
+    mark_final(id);
+    if constexpr (obs::kEnabled) {
+      if (path == RetrievalPath::kShed) {
+        agg_shed_.add(now_, 1);
+        agg_tenant_shed_[ev(id).tenant].add(now_, 1);
+      } else {
+        agg_failed_.add(now_, 1);
       }
     }
+  }
 
-    // Writes (extension): replicate the program to every live copy. They
-    // bypass read admission, but the device time they consume is real — the
-    // matcher sees the updated free times and defers reads accordingly.
-    // Processed before the group's reads (pessimistic for read QoS).
-    {
-      reads_.clear();
-      read_buckets_.clear();
-      bool any_write = false;
-      for (std::size_t i = 0; i < group_.size(); ++i) {
-        if (ev(group_[i].idx).is_read) {
-          reads_.push_back(group_[i]);
-          read_buckets_.push_back(buckets_[i]);
-          continue;
-        }
-        any_write = true;
-        auto& o = out(group_[i].idx);
-        o.is_write = true;
-        o.path = RetrievalPath::kWrite;
-        SimTime first_start = INT64_MAX;
-        SimTime last_finish = 0;
-        DeviceId first_dev = kInvalidDevice;
-        for (const auto dev : scheme_.replicas(buckets_[i])) {
-          if (!available_.empty() && !available_[dev]) continue;
-          const SimTime start = std::max(free_at_[dev], now);
-          const SimTime finish = start + cfg_.write_latency;
-          array_->submit(flashsim::IoRequest{.id = next_background_op_++,
-                                             .device = dev,
-                                             .submit_time = now,
-                                             .pages = 1,
-                                             .is_write = true});
-          if constexpr (obs::kEnabled) ++write_ops_tally_;
-          free_at_[dev] = finish;
-          if (start < first_start) {
-            first_start = start;
-            first_dev = dev;
-          }
-          last_finish = std::max(last_finish, finish);
-        }
-        FLASHQOS_ASSERT(first_dev != kInvalidDevice, "filter left a dead write");
-        o.device = first_dev;
-        o.start = first_start;
-        o.finish = last_finish;
-        if constexpr (obs::kEnabled) agg_writes_.add(now, 1);
-        mark_final(group_[i].idx);
+  /// Writes (extension): replicate the program to every live copy and
+  /// keep only the reads in the group. Writes bypass read admission, but
+  /// the device time they consume is real — the matcher sees the updated
+  /// free times and defers reads accordingly. Processed before the group's
+  /// reads (pessimistic for read QoS).
+  void place_writes() {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < group_.size(); ++i) {
+      const std::size_t id = group_[i].idx;
+      if (ev(id).is_read) {
+        group_[kept] = group_[i];
+        buckets_[kept++] = buckets_[i];
+        continue;
       }
-      if (any_write) {
-        std::swap(group_, reads_);
-        std::swap(buckets_, read_buckets_);
-        if (group_.empty() && !tenant_mode_) return;
+      auto& o = out(id);
+      o.is_write = true;
+      o.path = RetrievalPath::kWrite;
+      SimTime first_start = INT64_MAX;
+      SimTime last_finish = 0;
+      DeviceId first_dev = kInvalidDevice;
+      for (const auto dev : scheme_.replicas(buckets_[i])) {
+        if (!available_.empty() && !available_[dev]) continue;
+        const SimTime start = std::max(free_at_[dev], now_);
+        const SimTime finish = start + cfg_.write_latency;
+        array_->submit(flashsim::IoRequest{.id = next_background_op_++,
+                                           .device = dev,
+                                           .submit_time = now_,
+                                           .pages = 1,
+                                           .is_write = true});
+        if constexpr (obs::kEnabled) ++write_ops_tally_;
+        free_at_[dev] = finish;
+        if (start < first_start) {
+          first_start = start;
+          first_dev = dev;
+        }
+        last_finish = std::max(last_finish, finish);
       }
+      FLASHQOS_ASSERT(first_dev != kInvalidDevice, "filter left a dead write");
+      o.device = first_dev;
+      o.start = first_start;
+      o.finish = last_finish;
+      if constexpr (obs::kEnabled) agg_writes_.add(now_, 1);
+      mark_final(id);
     }
+    group_.resize(kept);
+    buckets_.resize(kept);
+  }
 
-    // Multi-tenant WFQ front end: fresh reads join their tenant queue
-    // (mark/shed backpressure applied at enqueue), then the scheduler
-    // dispenses the live budget across backlogged tenants in virtual-
-    // finish-time order, reservations honored as floors. The Pending
-    // queue doubles as the wake clock — every still-queued request holds
-    // exactly one wake at the next interval boundary, so backlog keeps
-    // draining after the last arrival and every request reaches a final
-    // state (dispatched, shed, or failed).
-    if (tenant_mode_) {
-      for (std::size_t i = 0; i < group_.size(); ++i) {
-        const std::size_t id = group_[i].idx;
-        if (tst(id) != 0) continue;  // a wake, already in its FIFO
-        auto& o = out(id);
-        const auto tid = static_cast<std::size_t>(ev(id).tenant);
-        if constexpr (obs::kEnabled) {
-          // Admission-floor SLOs count every fresh enqueue attempt; sheds
-          // below add the bad half.
-          for (auto& st : slo_tallies_) {
-            if (st.kind != obs::SloKind::kAdmissionFloor) continue;
-            if (st.tenant >= 0 && static_cast<std::size_t>(st.tenant) != tid) {
-              continue;
-            }
-            ++st.total;
-          }
-        }
-        switch (ts_->enqueue(tid, id)) {
-          case WfqQueues::Enqueue::kShed:
-            // Hard backpressure: dropped at the front end, never queued.
-            // Finalized at the arrival instant so shed requests cannot
-            // distort the latency populations.
-            o.dispatch = now;
-            o.start = now;
-            o.finish = now;
-            o.failed = true;
-            o.path = RetrievalPath::kShed;
-            tst(id) = 2;
-            mark_final(id);
-            if constexpr (obs::kEnabled) {
-              agg_shed_.add(now, 1);
-              agg_tenant_shed_[tid].add(now, 1);
-              for (auto& st : slo_tallies_) {
-                if (st.kind != obs::SloKind::kAdmissionFloor) continue;
-                if (st.tenant >= 0 &&
-                    static_cast<std::size_t>(st.tenant) != tid) {
-                  continue;
-                }
-                ++st.bad;
-              }
-            }
-            break;
-          case WfqQueues::Enqueue::kMarked:
-            o.wfq_marked = true;
-            [[fallthrough]];
-          case WfqQueues::Enqueue::kAccepted:
-            tst(id) = 1;
-            break;
-        }
-      }
+  /// How many of `count` more requests this interval's budget admits:
+  /// S while healthy, S' while degraded. DeterministicAdmission itself
+  /// stays fixed at S; only this wrapper tracks the adaptive limit.
+  [[nodiscard]] std::uint64_t accept(std::uint64_t count) const {
+    switch (cfg_.admission) {
+      case AdmissionMode::kNone:
+        break;
+      case AdmissionMode::kDeterministic:
+        return admitted_ >= det_limit_now_
+                   ? 0
+                   : std::min<std::uint64_t>(count, det_limit_now_ - admitted_);
+      case AdmissionMode::kStatistical:
+        return stat_->accept(admitted_, count);
+    }
+    return count;
+  }
 
-      const bool unlimited = cfg_.admission == AdmissionMode::kNone;
-      tenant_blocked_.assign(ts_->tenants(), false);
-
-      // Head with every replica down right now: 0 = servable, 1 = wait
-      // (tenant blocked this instant; its wake retries at the boundary),
-      // 2 = failed and removed from its queue.
-      const auto strand_check = [&](std::size_t tid, std::uint64_t id,
-                                    BucketId bucket) -> int {
-        if (available_.empty()) return 0;
-        const auto reps = scheme_.replicas(bucket);
-        if (std::any_of(reps.begin(), reps.end(),
-                        [&](DeviceId d) { return available_[d]; })) {
-          return 0;
-        }
-        SimTime recovery = DeviceFailure::kNeverRecovers;
-        for (const auto d : reps) {
-          recovery = std::min(recovery, injector_->device_up_at(d, now));
-        }
-        auto& o = out(id);
-        SimTime next_dispatch = 0;
-        if (recovery != DeviceFailure::kNeverRecovers) {
-          next_dispatch =
-              std::max((qi + 1) * T_, next_interval_start(recovery, T_));
-        }
-        const bool timed_out =
-            recovery != DeviceFailure::kNeverRecovers &&
-            retry_timeout_ != fault::RetryPolicy::kNoTimeout &&
-            next_dispatch - o.arrival > retry_timeout_;
-        if (recovery == DeviceFailure::kNeverRecovers || timed_out) {
-          ts_->drop_head(tid);
-          o.dispatch = now;
-          o.start = now;
-          o.finish = now;
-          o.failed = true;
-          o.path = RetrievalPath::kFailed;
-          if (timed_out) ++timeouts_tally_;
-          tst(id) = 2;
-          mark_final(id);
-          if constexpr (obs::kEnabled) agg_failed_.add(now, 1);
-          return 2;
-        }
-        tenant_blocked_[tid] = true;
-        return 1;
-      };
-
-      // Dispatch metadata shared by every dispense site. The dispatch
-      // instant is when the scheduler releases the request — delay and
-      // deferral semantics match the single-tenant admission path.
-      const auto dispense_meta = [&](std::uint64_t id, bool matched) {
-        auto& o = out(id);
-        o.dispatch = now;
-        o.fim_matched = cfg_.mapping == MappingMode::kFim && matched;
-        o.q_ppm = 0;
-      };
-
+  /// Single-tenant admission. Primary-only and aligned admit a prefix of
+  /// the group — the baseline one request at a time, the aligned batch in
+  /// one accept — and defer the rest. Online admits a read only if it can
+  /// be fitted inside the access budget on currently available device
+  /// slots (with remapping of the same-instant batch), which is what makes
+  /// every admitted request meet the guarantee exactly (the paper's flat
+  /// 0.132507 ms line). Statistical surplus beyond S is admitted while
+  /// Q < ε and served from the earliest-finishing replica, queueing
+  /// allowed (the Fig. 10 response-time cost).
+  void admit() {
+    if (!slot_matching_) {
+      std::size_t n = 0;
       if (cfg_.scheduler == SchedulerMode::kPrimaryOnly) {
-        while (const auto tid =
-                   ts_->next_candidate(tenant_blocked_, unlimited)) {
-          const std::uint64_t id = ts_->head(*tid);
-          if (tst(id) == 2) {
-            ts_->drop_head(*tid);
-            continue;
-          }
-          const auto m = mapper_.map(ev(id).block);
-          if (strand_check(*tid, id, m.bucket) != 0) continue;
-          ts_->pop(*tid, unlimited);
+        while (n < group_.size() && accept(1) > 0) {
           ++admitted_;
-          dispense_meta(id, m.matched);
-          tst(id) = 2;
-          DeviceId dev = kInvalidDevice;
-          for (const auto d : scheme_.replicas(m.bucket)) {
-            if (available_.empty() || available_[d]) {
-              dev = d;
-              break;
-            }
-          }
-          FLASHQOS_ASSERT(dev != kInvalidDevice,
-                          "strand check left a dead head");
-          out(id).path = RetrievalPath::kPrimary;
-          dispatch_request(id, dev, std::max(free_at_[dev], now));
-        }
-      } else if (cfg_.retrieval == RetrievalMode::kIntervalAligned) {
-        // Batch path: dispense by budget in VFT order, then schedule the
-        // whole batch with DTR + max-flow exactly like the single-tenant
-        // aligned path.
-        aligned_ids_.clear();
-        aligned_buckets_.clear();
-        while (const auto tid =
-                   ts_->next_candidate(tenant_blocked_, unlimited)) {
-          const std::uint64_t id = ts_->head(*tid);
-          if (tst(id) == 2) {
-            ts_->drop_head(*tid);
-            continue;
-          }
-          const auto m = mapper_.map(ev(id).block);
-          if (strand_check(*tid, id, m.bucket) != 0) continue;
-          ts_->pop(*tid, unlimited);
-          ++admitted_;
-          dispense_meta(id, m.matched);
-          tst(id) = 2;
-          aligned_ids_.push_back(id);
-          aligned_buckets_.push_back(m.bucket);
-        }
-        if (!aligned_ids_.empty()) {
-          const retrieval::Schedule* sched =
-              retriever_.schedule(aligned_buckets_, available_);
-          FLASHQOS_ASSERT(sched != nullptr, "strand check left a dead head");
-          const RetrievalPath batch_path =
-              !available_.empty() ? RetrievalPath::kDegraded
-              : sched->via == retrieval::SolvedBy::kMaxFlow
-                  ? RetrievalPath::kAlignedMaxFlow
-                  : RetrievalPath::kAlignedDtr;
-          order_.resize(aligned_ids_.size());
-          for (std::size_t i = 0; i < aligned_ids_.size(); ++i) order_[i] = i;
-          std::stable_sort(order_.begin(), order_.end(),
-                           [&](std::size_t a, std::size_t b) {
-                             return sched->assignments[a].round <
-                                    sched->assignments[b].round;
-                           });
-          for (const auto i : order_) {
-            const DeviceId dev = sched->assignments[i].device;
-            out(aligned_ids_[i]).path = batch_path;
-            dispatch_request(aligned_ids_[i], dev,
-                             std::max(free_at_[dev], now));
-          }
+          ++n;
         }
       } else {
-        // Online deterministic: offer heads to the slot matcher in VFT
-        // order. A refused head blocks its tenant for this instant only —
-        // the next head in VFT order may still fit, which is what keeps
-        // slots from idling while any queue is backlogged. With no
-        // admission (kNone) nothing queues across instants: refused heads
-        // overflow to their earliest-finishing replica, like the
-        // single-tenant baseline.
-        const std::vector<SimTime>* svc_ptr = nullptr;
-        if (faults_active_ && injector_->any_spike_at(now)) {
-          svc_now_.resize(scheme_.devices());
-          for (DeviceId d = 0; d < scheme_.devices(); ++d) {
-            svc_now_[d] = read_service(d, now);
-          }
-          svc_ptr = &svc_now_;
-        }
-        matcher_.begin_instant(free_at_, now, L_, cfg_.access_budget,
-                               available_, svc_ptr);
-        dispensed_.clear();
-        bool matching_open = true;
-        while (const auto tid =
-                   ts_->next_candidate(tenant_blocked_, unlimited)) {
-          const std::uint64_t id = ts_->head(*tid);
-          if (tst(id) == 2) {
-            ts_->drop_head(*tid);
-            continue;
-          }
-          const auto m = mapper_.map(ev(id).block);
-          if (strand_check(*tid, id, m.bucket) != 0) continue;
-          if (matching_open && matcher_.add(m.bucket)) {
-            ts_->pop(*tid, unlimited);
-            ++admitted_;
-            dispense_meta(id, m.matched);
-            tst(id) = 2;
-            dispensed_.push_back(id);
-            continue;
-          }
-          if (unlimited) {
-            // Surplus placements change free_at under the matcher, so the
-            // slot view is stale from the first refusal on (same rule as
-            // the single-tenant kNone path).
-            matching_open = false;
-            ts_->pop(*tid, true);
-            dispense_meta(id, m.matched);
-            tst(id) = 2;
-            DeviceId best = kInvalidDevice;
-            for (const auto d : scheme_.replicas(m.bucket)) {
-              if (!available_.empty() && !available_[d]) continue;
-              if (best == kInvalidDevice ||
-                  std::max(free_at_[d], now) <
-                      std::max(free_at_[best], now)) {
-                best = d;
-              }
-            }
-            FLASHQOS_ASSERT(best != kInvalidDevice,
-                            "strand check left a dead head");
-            out(id).path = RetrievalPath::kSurplus;
-            dispatch_request(id, best, std::max(free_at_[best], now));
-            continue;
-          }
-          tenant_blocked_[*tid] = true;
-        }
-        // Materialize matched placements: add order is dispense order, so
-        // per-device slots follow the WFQ dispatch order.
-        cursor_.assign(free_at_.size(), -1);
-        for (std::size_t a = 0; a < dispensed_.size(); ++a) {
-          const std::uint64_t id = dispensed_[a];
-          const DeviceId dev = matcher_.device_of(a);
-          FLASHQOS_ASSERT(dev != kInvalidDevice,
-                          "matched request must have a device");
-          SimTime& c = cursor_[dev];
-          if (c < 0) c = std::max(free_at_[dev], now);
-          out(id).path = RetrievalPath::kSlotMatched;
-          dispatch_request(id, dev, c);
-          c = out(id).finish;
-        }
+        n = accept(group_.size());
+        admitted_ += n;
       }
-
-      // One wake per still-queued member of this group; queued requests
-      // from older groups already hold theirs.
-      for (const auto& g : group_) {
-        if (tst(g.idx) != 1) continue;
-        Pending d = g;
-        d.dispatch = (qi + 1) * T_;
-        queue_.push(d);
-        if constexpr (obs::kEnabled) ++deferrals_tally_;
-      }
-      return;
-    }
-
-    if (cfg_.scheduler == SchedulerMode::kPrimaryOnly) {
-      // Baseline dispatch: every request reads its first copy, FIFO behind
-      // whatever is queued there; no admission interplay beyond the budget.
       for (std::size_t i = 0; i < group_.size(); ++i) {
-        std::uint64_t ok = group_.size();
-        switch (cfg_.admission) {
-          case AdmissionMode::kNone:
-            ok = 1;
-            break;
-          case AdmissionMode::kDeterministic:
-            ok = accept_det(admitted_, 1);
-            break;
-          case AdmissionMode::kStatistical:
-            ok = stat_->accept(admitted_, 1);
-            break;
+        if (i < n) {
+          batch_ids_.push_back(group_[i].idx);
+          batch_buckets_.push_back(buckets_[i]);
+        } else {
+          defer(group_[i].idx);
         }
-        if (ok == 0) {
-          defer(group_[i]);
-          continue;
-        }
-        ++admitted_;
-        // First *live* replica — a degraded RAID read.
-        DeviceId dev = kInvalidDevice;
-        for (const auto d : scheme_.replicas(buckets_[i])) {
-          if (available_.empty() || available_[d]) {
-            dev = d;
-            break;
-          }
-        }
-        FLASHQOS_ASSERT(dev != kInvalidDevice, "filter left a dead request");
-        out(group_[i].idx).path = RetrievalPath::kPrimary;
-        dispatch_request(group_[i].idx, dev, std::max(free_at_[dev], now));
       }
       return;
     }
-
-    if (cfg_.retrieval == RetrievalMode::kIntervalAligned) {
-      // Batch path: admit up to the budget, schedule with DTR + max-flow,
-      // dispatch round by round behind any residual device work.
-      std::uint64_t n_accept = group_.size();
-      switch (cfg_.admission) {
-        case AdmissionMode::kNone:
-          break;
-        case AdmissionMode::kDeterministic:
-          n_accept = accept_det(admitted_, group_.size());
-          break;
-        case AdmissionMode::kStatistical:
-          n_accept = stat_->accept(admitted_, group_.size());
-          break;
-      }
-      admitted_ += n_accept;
-      for (std::size_t i = n_accept; i < group_.size(); ++i) defer(group_[i]);
-      if (n_accept == 0) return;
-      buckets_.resize(n_accept);
-
-      const retrieval::Schedule* degraded =
-          retriever_.schedule(buckets_, available_);
-      FLASHQOS_ASSERT(degraded != nullptr, "filter left a dead request");
-      const auto& schedule = *degraded;
-      const RetrievalPath batch_path =
-          !available_.empty() ? RetrievalPath::kDegraded
-          : schedule.via == retrieval::SolvedBy::kMaxFlow
-              ? RetrievalPath::kAlignedMaxFlow
-              : RetrievalPath::kAlignedDtr;
-      // Requests on one device start back to back in round order.
-      order_.resize(n_accept);
-      for (std::size_t i = 0; i < n_accept; ++i) order_[i] = i;
-      std::stable_sort(order_.begin(), order_.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return schedule.assignments[a].round <
-                                schedule.assignments[b].round;
-                       });
-      for (const auto i : order_) {
-        const DeviceId dev = schedule.assignments[i].device;
-        out(group_[i].idx).path = batch_path;
-        dispatch_request(group_[i].idx, dev, std::max(free_at_[dev], now));
-      }
-      return;
-    }
-
-    // Online mode. Deterministic portion: a request is admitted only if it
-    // can be fitted inside the access budget on currently-available device
-    // slots (with remapping of the same-instant batch); otherwise it is
-    // delayed — this is what makes every admitted request meet the
-    // guarantee exactly (the paper's flat 0.132507 ms line). Statistical
-    // surplus beyond S: admitted while Q < ε and served from the earliest-
-    // finishing replica, queueing allowed (the Fig. 10 response-time cost).
-    const std::vector<SimTime>* svc_ptr = nullptr;
-    if (faults_active_ && injector_->any_spike_at(now)) {
-      svc_now_.resize(scheme_.devices());
-      for (DeviceId d = 0; d < scheme_.devices(); ++d) {
-        svc_now_[d] = read_service(d, now);
-      }
-      svc_ptr = &svc_now_;
-    }
-    matcher_.begin_instant(free_at_, now, L_, cfg_.access_budget, available_,
-                           svc_ptr);
-    matched_members_.clear();
-    surplus_members_.clear();
-    bool matching_open = true;
+    begin_matching();
     for (std::size_t i = 0; i < group_.size(); ++i) {
       const bool in_budget =
           cfg_.admission == AdmissionMode::kNone || admitted_ < det_limit_now_;
-      if (in_budget && matching_open && matcher_.add(buckets_[i])) {
-        matched_members_.push_back(i);
-        ++admitted_;
-        continue;
+      switch (offer(buckets_[i], in_budget)) {
+        case Fit::kMatched:
+          ++admitted_;
+          batch_ids_.push_back(group_[i].idx);
+          break;
+        case Fit::kOverflow:
+          surplus_ids_.push_back(group_[i].idx);
+          surplus_buckets_.push_back(buckets_[i]);
+          break;
+        case Fit::kRefused:
+          if (cfg_.admission == AdmissionMode::kStatistical &&
+              admitted_ >= det_limit_now_ && stat_->accept(admitted_, 1) > 0) {
+            matching_open_ = false;  // surplus placements stale the slot view
+            ++admitted_;
+            surplus_ids_.push_back(group_[i].idx);
+            surplus_buckets_.push_back(buckets_[i]);
+          } else {
+            defer(group_[i].idx);
+          }
+          break;
       }
-      if (cfg_.admission == AdmissionMode::kNone) {
-        // Baseline: no deferral, queue on the earliest-finishing replica.
-        matching_open = false;
-        surplus_members_.push_back(i);
-        continue;
-      }
-      if (cfg_.admission == AdmissionMode::kStatistical &&
-          admitted_ >= det_limit_now_ && stat_->accept(admitted_, 1) > 0) {
-        matching_open = false;  // placements below invalidate the slot view
-        surplus_members_.push_back(i);
-        ++admitted_;
-        continue;
-      }
-      defer(group_[i]);
     }
+  }
 
-    // Materialize the matched placements: per device, slot order follows
-    // FIFO (matched_members is already in seq order).
+  /// Arm the slot matcher for this instant. Under a latency spike it gets
+  /// per-device effective quanta: a stretched slot fits fewer times in the
+  /// guarantee window.
+  void begin_matching() {
+    const std::vector<SimTime>* svc_ptr = nullptr;
+    if (faults_active_ && injector_->any_spike_at(now_)) {
+      svc_now_.resize(scheme_.devices());
+      for (DeviceId d = 0; d < scheme_.devices(); ++d) {
+        svc_now_[d] = read_service(d, now_);
+      }
+      svc_ptr = &svc_now_;
+    }
+    matcher_.begin_instant(free_at_, now_, L_, cfg_.access_budget, available_,
+                           svc_ptr);
+    matching_open_ = true;
+  }
+
+  enum class Fit : std::uint8_t { kMatched, kOverflow, kRefused };
+
+  /// Offer one read to the slot matcher: matched while `in_budget` and the
+  /// slot view is valid. With no admission (kNone) a refusal overflows to
+  /// the surplus list instead, and closes matching: surplus placements
+  /// change free_at under the matcher, so the slot view is stale from the
+  /// first refusal on.
+  [[nodiscard]] Fit offer(BucketId bucket, bool in_budget) {
+    if (in_budget && matching_open_ && matcher_.add(bucket)) return Fit::kMatched;
+    if (cfg_.admission != AdmissionMode::kNone) return Fit::kRefused;
+    matching_open_ = false;
+    return Fit::kOverflow;
+  }
+
+  /// WFQ front end, part 1: fresh reads join their tenant queue, with
+  /// mark/shed backpressure applied at enqueue. Wakes are already queued.
+  void enqueue_fresh() {
+    for (const auto& g : group_) {
+      const std::size_t id = g.idx;
+      if (tst(id) != 0) continue;
+      const std::size_t tid = ev(id).tenant;
+      const auto verdict = ts_->enqueue(tid, id);
+      if constexpr (obs::kEnabled) {
+        tally_admission_floor(tid, verdict == WfqQueues::Enqueue::kShed);
+      }
+      switch (verdict) {
+        case WfqQueues::Enqueue::kShed:
+          // Hard backpressure: dropped at the front end, never queued.
+          finish_unserved(id, RetrievalPath::kShed);
+          break;
+        case WfqQueues::Enqueue::kMarked:
+          out(id).wfq_marked = true;
+          [[fallthrough]];
+        case WfqQueues::Enqueue::kAccepted:
+          tst(id) = 1;
+          break;
+      }
+    }
+  }
+
+  /// Admission-floor SLOs count every fresh enqueue attempt; sheds are
+  /// the bad half.
+  void tally_admission_floor(std::size_t tid, bool shed) {
+    for (auto& st : slo_tallies_) {
+      if (st.kind != obs::SloKind::kAdmissionFloor) continue;
+      if (st.tenant >= 0 && static_cast<std::size_t>(st.tenant) != tid) continue;
+      ++st.total;
+      if (shed) ++st.bad;
+    }
+  }
+
+  /// WFQ front end, part 2: dispense the live budget across backlogged
+  /// tenants in virtual-finish-time order, reservations honored as floors.
+  /// Every candidate head takes one path: stale drop, map, strand rule,
+  /// then the scheduler's take rule. Primary-only and aligned take every
+  /// head the budget offers; online offers it to the slot matcher, and a
+  /// refused head blocks its tenant for this instant only — the next head
+  /// in VFT order may still fit, which keeps slots from idling while any
+  /// queue is backlogged. The Pending queue doubles as the wake clock:
+  /// every still-queued request holds exactly one wake at the next
+  /// boundary, so backlog keeps draining after the last arrival.
+  void dispense() {
+    const bool unlimited = cfg_.admission == AdmissionMode::kNone;
+    tenant_blocked_.assign(ts_->tenants(), false);
+    if (slot_matching_) begin_matching();
+    while (const auto tid = ts_->next_candidate(tenant_blocked_, unlimited)) {
+      const std::uint64_t id = ts_->head(*tid);
+      if (tst(id) == 2) {
+        ts_->drop_head(*tid);
+        continue;
+      }
+      const auto m = mapper_.map(ev(id).block);
+      if constexpr (obs::kEnabled) ++map_calls_tally_;
+      const Strand s = strand(id, m.bucket);
+      if (s.kind == Strand::kFailed) {
+        ts_->drop_head(*tid);
+        continue;
+      }
+      const Fit fit = s.kind == Strand::kWait ? Fit::kRefused
+                      : slot_matching_        ? offer(m.bucket, true)
+                                              : Fit::kMatched;
+      if (fit == Fit::kRefused) {
+        tenant_blocked_[*tid] = true;
+        continue;
+      }
+      ts_->pop(*tid, unlimited);
+      // The dispatch instant is when the scheduler releases the request,
+      // so delay and deferral mean what they mean single-tenant.
+      auto& o = out(id);
+      o.dispatch = now_;
+      o.fim_matched = cfg_.mapping == MappingMode::kFim && m.matched;
+      o.q_ppm = 0;
+      tst(id) = 2;
+      if (fit == Fit::kOverflow) {
+        surplus_ids_.push_back(id);
+        surplus_buckets_.push_back(m.bucket);
+      } else {
+        ++admitted_;
+        batch_ids_.push_back(id);
+        batch_buckets_.push_back(m.bucket);
+      }
+    }
+    // One wake per still-queued member of this group; queued requests
+    // from older groups already hold theirs.
+    for (const auto& g : group_) {
+      if (tst(g.idx) == 1) defer(g.idx);
+    }
+  }
+
+  /// Placement, one path for both front ends. The admitted batch goes to
+  /// its first live replica (primary-only), through one DTR/max-flow
+  /// schedule (aligned), or into its matched slots (online); surplus reads
+  /// go to their earliest-finishing live replica. WFQ overflow heads take
+  /// their devices before the matched slots materialize, single-tenant
+  /// surplus after them; the golden snapshots pin both orders.
+  void place() {
+    if (cfg_.scheduler == SchedulerMode::kPrimaryOnly) {
+      for (std::size_t k = 0; k < batch_ids_.size(); ++k) {
+        place_on(batch_ids_[k], first_live(batch_buckets_[k]),
+                 RetrievalPath::kPrimary);
+      }
+    } else if (!slot_matching_) {
+      place_aligned();
+    } else if (tenant_mode_) {
+      place_surplus();
+      place_matched();
+    } else {
+      place_matched();
+      place_surplus();
+    }
+    batch_ids_.clear();
+    batch_buckets_.clear();
+    surplus_ids_.clear();
+    surplus_buckets_.clear();
+  }
+
+  void place_on(std::size_t id, DeviceId dev, RetrievalPath path) {
+    out(id).path = path;
+    dispatch_request(id, dev, std::max(free_at_[dev], now_));
+  }
+
+  /// First live replica — the primary-only baseline's degraded RAID read.
+  [[nodiscard]] DeviceId first_live(BucketId bucket) const {
+    DeviceId dev = kInvalidDevice;
+    for (const auto d : scheme_.replicas(bucket)) {
+      if (available_.empty() || available_[d]) {
+        dev = d;
+        break;
+      }
+    }
+    FLASHQOS_ASSERT(dev != kInvalidDevice, "strand rule left a dead request");
+    return dev;
+  }
+
+  /// Live replica that frees up first (ties to the earlier replica).
+  [[nodiscard]] DeviceId earliest_live(BucketId bucket) const {
+    DeviceId best = kInvalidDevice;
+    for (const auto d : scheme_.replicas(bucket)) {
+      if (!available_.empty() && !available_[d]) continue;
+      if (best == kInvalidDevice ||
+          std::max(free_at_[d], now_) < std::max(free_at_[best], now_)) {
+        best = d;
+      }
+    }
+    FLASHQOS_ASSERT(best != kInvalidDevice, "strand rule left a dead request");
+    return best;
+  }
+
+  /// Aligned batch: one DTR (+ max-flow fallback) schedule, dispatched
+  /// behind any residual device work; requests on one device start back to
+  /// back in round order.
+  void place_aligned() {
+    if (batch_ids_.empty()) return;
+    const retrieval::Schedule* sched =
+        retriever_.schedule(batch_buckets_, available_);
+    FLASHQOS_ASSERT(sched != nullptr, "strand rule left a dead request");
+    const RetrievalPath path = !available_.empty() ? RetrievalPath::kDegraded
+                               : sched->via == retrieval::SolvedBy::kMaxFlow
+                                   ? RetrievalPath::kAlignedMaxFlow
+                                   : RetrievalPath::kAlignedDtr;
+    order_.resize(batch_ids_.size());
+    for (std::size_t k = 0; k < order_.size(); ++k) order_[k] = k;
+    std::stable_sort(order_.begin(), order_.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return sched->assignments[a].round <
+                              sched->assignments[b].round;
+                     });
+    for (const auto k : order_) {
+      place_on(batch_ids_[k], sched->assignments[k].device, path);
+    }
+  }
+
+  /// Materialize matched slots. Add order is admission order (FIFO, or VFT
+  /// under WFQ), so per-device slots follow it.
+  void place_matched() {
     cursor_.assign(free_at_.size(), -1);
-    for (std::size_t a = 0; a < matched_members_.size(); ++a) {
-      const std::size_t i = matched_members_[a];
+    for (std::size_t a = 0; a < batch_ids_.size(); ++a) {
+      const std::size_t id = batch_ids_[a];
       const DeviceId dev = matcher_.device_of(a);
       FLASHQOS_ASSERT(dev != kInvalidDevice, "matched request must have a device");
       SimTime& c = cursor_[dev];
-      if (c < 0) c = std::max(free_at_[dev], now);
-      out(group_[i].idx).path = RetrievalPath::kSlotMatched;
-      dispatch_request(group_[i].idx, dev, c);
+      if (c < 0) c = std::max(free_at_[dev], now_);
+      out(id).path = RetrievalPath::kSlotMatched;
+      dispatch_request(id, dev, c);
       // Advance by the *actual* finish — under a latency spike the slot is
       // wider than L, and the next slot on this device starts after it.
-      c = out(group_[i].idx).finish;
+      c = out(id).finish;
     }
-    // Statistical surplus / no-admission overflow: earliest finish replica.
-    for (const auto i : surplus_members_) {
-      const auto reps = scheme_.replicas(buckets_[i]);
-      DeviceId best = kInvalidDevice;
-      for (const auto d : reps) {
-        if (!available_.empty() && !available_[d]) continue;
-        if (best == kInvalidDevice ||
-            std::max(free_at_[d], now) < std::max(free_at_[best], now)) {
-          best = d;
-        }
-      }
-      FLASHQOS_ASSERT(best != kInvalidDevice, "filter left a dead request");
-      out(group_[i].idx).path = RetrievalPath::kSurplus;
-      dispatch_request(group_[i].idx, best, std::max(free_at_[best], now));
+  }
+
+  /// Statistical surplus and no-admission overflow, queueing allowed.
+  void place_surplus() {
+    for (std::size_t k = 0; k < surplus_ids_.size(); ++k) {
+      place_on(surplus_ids_[k], earliest_live(surplus_buckets_[k]),
+               RetrievalPath::kSurplus);
     }
+  }
+
+  [[nodiscard]] SimTime next_boundary() const { return (current_qi_ + 1) * T_; }
+
+  /// Carry a request to the next QoS boundary: an admission deferral or a
+  /// WFQ boundary wake.
+  void defer(std::size_t id) {
+    requeue_.push_back(Pending{next_boundary(), id});
+    if constexpr (obs::kEnabled) ++deferrals_tally_;
+  }
+
+  /// Everything carried past this instant re-enters the dispatch queue.
+  void requeue() {
+    for (const auto& p : requeue_) queue_.push(p);
+    requeue_.clear();
   }
 
   // ---- finish ------------------------------------------------------------
@@ -1778,6 +1713,7 @@ class ReplayEngine {
     auto& m = PipelineMetrics::get();
     m.dispatches.inc(dispatches_tally_);
     m.deferral_events.inc(deferrals_tally_);
+    m.map_calls.inc(map_calls_tally_);
     m.write_replica_ops.inc(write_ops_tally_);
     if (faults_active_) {
       auto& fm = FaultMetrics::get();
@@ -1882,9 +1818,6 @@ class ReplayEngine {
   std::optional<StatisticalAdmission> stat_;
   std::optional<TenantScheduler> ts_;
   std::vector<bool> tenant_blocked_;
-  std::vector<std::uint64_t> dispensed_;   // matched request ids, add order
-  std::vector<std::size_t> aligned_ids_;   // aligned-mode dispensed batch
-  std::vector<BucketId> aligned_buckets_;
   std::vector<obs::LatencyHistogram*> depth_hist_;
 
   obs::TimeSeries* win_reads_ = nullptr;
@@ -1944,19 +1877,24 @@ class ReplayEngine {
   std::uint64_t dispatches_tally_ = 0;
   std::uint64_t deferrals_tally_ = 0;
   std::uint64_t write_ops_tally_ = 0;
+  std::uint64_t map_calls_tally_ = 0;
 
-  // Per-instant buffers, hoisted out of the dispatch loop so steady-state
-  // scheduling reuses their capacity instead of reallocating every group.
+  // Per-instant state, hoisted out of the dispatch loop so steady-state
+  // scheduling reuses its capacity instead of reallocating every group.
+  SimTime now_ = 0;              // the dispatch instant being processed
+  const bool slot_matching_;     // online, replica-scheduled placement
+  bool matching_open_ = false;   // the matcher's slot view is still valid
   std::vector<Pending> group_;
-  std::vector<BucketId> buckets_;
+  std::vector<BucketId> buckets_;  // group_'s resolved buckets
   std::vector<bool> available_;
-  std::vector<Pending> live_;
-  std::vector<BucketId> live_buckets_;
-  std::vector<Pending> reads_;
-  std::vector<BucketId> read_buckets_;
+  // Admitted batch (aligned / primary-only) or matched reads in add order
+  // (online), and surplus reads; filled by admission, emptied by place().
+  std::vector<std::size_t> batch_ids_;
+  std::vector<BucketId> batch_buckets_;
+  std::vector<std::size_t> surplus_ids_;
+  std::vector<BucketId> surplus_buckets_;
+  std::vector<Pending> requeue_;  // carried past this instant
   std::vector<std::size_t> order_;
-  std::vector<std::size_t> matched_members_;  // indices into group/buckets
-  std::vector<std::size_t> surplus_members_;
   std::vector<SimTime> cursor_;
   std::vector<SimTime> svc_now_;  // per-device effective quanta under spikes
 };

@@ -123,7 +123,7 @@ struct PipelineConfig {
 };
 
 /// Which serving path a request took. Recorded for observability but part
-/// of the result contract: the serial and parallel engines must agree on
+/// of the result contract: a serial run() and a run_jobs job must agree on
 /// it exactly (audited by flashqos_verify --replay), so instrumentation
 /// cannot silently change behaviour.
 enum class RetrievalPath : std::uint8_t {

@@ -510,5 +510,39 @@ TEST(PipelineObservability, CountersMatchReplayOutcomes) {
   }
 }
 
+// Engine work counter: each dispatch instant maps every member of its
+// group once, and a deferred request rejoins a later group. On a
+// single-tenant deterministic backlog (bursts above S, no faults) that
+// makes map calls = requests + deferral events — the O(backlog) re-map
+// cost of carrying deferred requests through the dispatch queue.
+TEST(PipelineObservability, MapCallsCountEveryDeferralPass) {
+  if constexpr (!kEnabled) {
+    GTEST_SKIP() << "FLASHQOS_OBS=OFF";
+  } else {
+    auto& reg = MetricRegistry::global();
+    reg.reset();
+    const auto d = design::make_9_3_1();
+    const decluster::DesignTheoretic scheme(d, true);
+    trace::SyntheticParams sp;
+    sp.bucket_pool = scheme.buckets();
+    sp.requests_per_interval = 12;  // S = 5 for (9,3,1) at M = 1
+    sp.total_requests = 600;
+    const auto t = trace::generate_synthetic(sp);
+    core::PipelineConfig cfg;
+    cfg.admission = core::AdmissionMode::kDeterministic;
+    cfg.mapping = core::MappingMode::kModulo;
+    const auto result = core::QosPipeline(scheme, cfg).run(t);
+    const auto snap = reg.snapshot();
+    const auto* deferrals = snap.find_counter("pipeline.deferral_events");
+    const auto* map_calls = snap.find_counter("pipeline.work.map_calls");
+    ASSERT_NE(deferrals, nullptr);
+    ASSERT_NE(map_calls, nullptr);
+    EXPECT_GT(result.overall.deferred, 0u);
+    EXPECT_GT(deferrals->value, result.outcomes.size());
+    EXPECT_EQ(map_calls->value, result.outcomes.size() + deferrals->value);
+    reg.reset();
+  }
+}
+
 }  // namespace
 }  // namespace flashqos::obs
