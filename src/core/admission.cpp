@@ -49,9 +49,17 @@ std::uint64_t StatisticalAdmission::accept(std::uint64_t already,
                                            std::uint64_t count) const {
   // Everything within the deterministic limit is always safe.
   if (already + count <= limit_) return count;
-  // Find the largest k' in (limit, already+count] that keeps Q < ε; sizes
-  // are small so a downward linear scan is fine.
-  for (std::uint64_t k = already + count; k > limit_; --k) {
+  // Find the largest k' in (limit, already+count] that keeps Q < ε by a
+  // downward scan. Every size past the P_k table misses with probability
+  // 1, so q_with is one value across them: test it once and resume at the
+  // table's last size, keeping the scan O(table size) however large the
+  // offered count (a carried backlog) is.
+  std::uint64_t k = already + count;
+  if (k >= p_table_.size()) {
+    if (q_with(k) < epsilon_) return count;
+    k = p_table_.size() - 1;
+  }
+  for (; k > limit_; --k) {
     if (k <= already) return 0;  // already over the acceptable size
     if (q_with(k) < epsilon_) return k - already;
   }

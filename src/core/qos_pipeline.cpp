@@ -47,10 +47,10 @@ namespace {
 inline constexpr std::size_t kPathCount = 10;
 
 /// Pipeline-level registry handles, resolved once. Per-event tallies
-/// (dispatches, deferrals, write replica ops, map calls) count in engine
-/// locals published once per replay; per-request counters and histograms
-/// fold through OutcomeObsFolder as each slot finalizes, so the hot loop
-/// never touches a shared counter.
+/// (dispatches, deferrals, write replica ops, map calls, carried-read
+/// rescans) count in engine locals published once per replay; per-request
+/// counters and histograms fold through OutcomeObsFolder as each slot
+/// finalizes, so the hot loop never touches a shared counter.
 struct PipelineMetrics {
   obs::Counter& requests;
   obs::Counter& reads_served;
@@ -62,6 +62,7 @@ struct PipelineMetrics {
   obs::Counter& write_replica_ops;
   obs::Counter& deferral_events;
   obs::Counter& map_calls;
+  obs::Counter& rescans;
   obs::LatencyHistogram& response_ns;
   obs::LatencyHistogram& delay_ns;
   obs::LatencyHistogram& e2e_ns;
@@ -86,6 +87,7 @@ struct PipelineMetrics {
                         reg.counter("pipeline.write_replica_ops"),
                         reg.counter("pipeline.deferral_events"),
                         reg.counter("pipeline.work.map_calls"),
+                        reg.counter("pipeline.work.rescans"),
                         reg.histogram("pipeline.response_ns"),
                         reg.histogram("pipeline.delay_ns"),
                         reg.histogram("pipeline.e2e_ns"),
@@ -336,9 +338,10 @@ class OutcomeObsFolder {
   std::array<std::uint64_t, kPathCount> by_path_{};
 };
 
-/// A request waiting for dispatch. Ordered by (dispatch time, idx); idx is
-/// the trace position, so deferred requests keep FIFO priority over newer
-/// arrivals at the same boundary.
+/// A dispatch-heap entry: a fresh arrival, a fault retry or a WFQ boundary
+/// wake. Ordered by (dispatch time, idx); idx is the trace position, so
+/// same-instant entries pop in arrival order. Admission deferrals are not
+/// here: they ride the engine's carried FIFO (ReplayEngine::carry_).
 struct Pending {
   SimTime dispatch = 0;
   std::size_t idx = 0;  // ingestion index (the request's window slot)
@@ -348,6 +351,18 @@ struct Pending {
   }
 };
 static_assert(sizeof(Pending) == 16, "dispatch-heap entries stay two words");
+
+/// A request resolved to its bucket at some dispatch instant: a member of
+/// the instant's group, or a read carried to the next QoS boundary.
+/// `epoch` is the FIM mapping epoch (reporting slice) the bucket was mapped
+/// under; a carried read whose epoch is stale is re-mapped before use.
+struct Resolved {
+  std::size_t idx = 0;
+  BucketId bucket = 0;
+  std::uint32_t epoch : 31 = 0;
+  std::uint32_t matched : 1 = 0;  // the mapper's FIM-table hit flag
+};
+static_assert(sizeof(Resolved) == 16, "carried reads stay two words");
 
 /// Streaming-safe interval summary: add() one outcome at a time (trace
 /// order), finalize() into an IntervalReport. The engine's incremental
@@ -572,14 +587,17 @@ inline constexpr SimTime kDrainAll = std::numeric_limits<SimTime>::max();
 /// One in-flight request: the event, its outcome, its WFQ lifecycle
 /// state, and how close it is to the result fold. st: 0 = awaiting
 /// dispatch, 1 = dispatched to the simulator (awaiting the completion
-/// cross-check), 2 = final (verified / failed / shed / write). The window
-/// pops slots from the front as they reach 2, so resident memory tracks
-/// the in-flight span, not the trace length.
+/// cross-check), 2 = final (verified / failed / shed / write). `stranded`
+/// marks a queued WFQ head already counted as a fault retry for the
+/// outage it is waiting out. The window pops slots from the front as they
+/// reach 2, so resident memory tracks the in-flight span, not the trace
+/// length.
 struct StreamSlot {
   trace::TraceEvent ev;
   RequestOutcome out;
   std::uint8_t tstate = 0;
   std::uint8_t st = 0;
+  bool stranded = false;
 };
 
 /// The in-flight window: slots for requests [base(), end()), addressed by
@@ -599,7 +617,7 @@ class SlotWindow {
   void push_back(const trace::TraceEvent& e) {
     if (end_ - base_ == slots_.size()) grow();
     auto& s = slots_[end_++ & mask_];
-    s = StreamSlot{e, RequestOutcome{}, 0, 0};
+    s = StreamSlot{e, RequestOutcome{}, 0, 0, false};
     s.out.arrival = e.time;
   }
 
@@ -818,6 +836,7 @@ class ReplayEngine {
     faults_active_ = injector_->active();
     retry_timeout_ = injector_->compiled().retry_timeout;
     det_limit_now_ = det_.limit();
+    if (slot_matching_) refused_at_.assign(scheme_.buckets(), 0);
 
     array_.emplace(scheme_.devices(),
                    std::make_shared<flashsim::FixedLatencyModel>(
@@ -945,12 +964,20 @@ class ReplayEngine {
 
   // ---- dispatch core -----------------------------------------------------
 
-  /// Pop every dispatch group at instants strictly before `bound`.
+  /// Process every dispatch instant strictly before `bound`.
   void drain(SimTime bound) {
-    while (!queue_.empty() && queue_.top().dispatch < bound) {
+    while (next_instant() < bound) {
       process_group();
       absorb_completions();
     }
+  }
+
+  /// The earliest pending dispatch instant: the heap's top or the carried
+  /// FIFO's boundary (kDrainAll when nothing is pending).
+  [[nodiscard]] SimTime next_instant() const {
+    SimTime at = queue_.empty() ? kDrainAll : queue_.top().dispatch;
+    if (carried() > 0) at = std::min(at, carry_at_);
+    return at;
   }
 
   /// Merge every non-empty window tally into its series and feed the SLO
@@ -1109,23 +1136,27 @@ class ReplayEngine {
   // ---- one dispatch instant ------------------------------------------------
 
   /// One same-instant dispatch group, as the paper's per-instant steps.
-  /// Each phase is one member below; per-instant state (now_, group_ and
-  /// buckets_, the batch/surplus lists, requeue_) lives in members so
-  /// steady-state instants allocate nothing and ingestion can interleave
-  /// between groups.
-  ///  1. pop_group, roll_over — pop the group (dropping stale WFQ wakes),
-  ///     submit due rebuild reads, advance the simulator, roll the FIM
-  ///     mapping and the QoS interval forward;
-  ///  2. resolve — count demand, map blocks to buckets, stamp the
-  ///     tentative outcome;
+  /// Each phase is one member below; per-instant state (now_, group_, the
+  /// batch/surplus lists, requeue_) lives in members so steady-state
+  /// instants allocate nothing and ingestion can interleave between
+  /// groups. Single-tenant admission deferrals never re-enter the heap:
+  /// they stay in the carried FIFO (carry_), which joins the group at its
+  /// boundary and is scanned only as far as the instant's budget reaches.
+  ///  1. pop_group, roll_over — pop the heap's group (dropping stale WFQ
+  ///     wakes), note whether the carried FIFO is due, submit due rebuild
+  ///     reads, advance the simulator, roll the FIM mapping and the QoS
+  ///     interval forward;
+  ///  2. resolve — count demand (the carried backlog in O(1)), map the
+  ///     popped members to buckets, stamp their tentative outcome;
   ///  3. check_availability — mask down devices, retry or fail requests
   ///     whose replicas are all down;
   ///  4. place_writes — replicate writes to every live copy;
-  ///  5. admit (single-tenant budget) or enqueue_fresh + dispense (WFQ, in
-  ///     virtual-finish order) — fill the batch and surplus lists;
+  ///  5. admit (single-tenant budget, over the carried FIFO merged with
+  ///     the group) or enqueue_fresh + dispense (WFQ, in virtual-finish
+  ///     order) — fill the batch and surplus lists;
   ///  6. place — one placement path for both front ends;
-  ///  7. requeue — deferrals, boundary wakes and retries re-enter the
-  ///     dispatch queue.
+  ///  7. requeue — boundary wakes and fault retries re-enter the dispatch
+  ///     queue.
   void process_group() {
     pop_group();
     roll_over();
@@ -1147,14 +1178,15 @@ class ReplayEngine {
   /// while their boundary wake was pending), then bring the rebuild stream
   /// and the simulator up to the instant.
   void pop_group() {
-    now_ = queue_.top().dispatch;
+    now_ = next_instant();
+    carry_due_ = carried() > 0 && carry_at_ == now_;
     group_.clear();
     while (!queue_.empty() && queue_.top().dispatch == now_) {
-      group_.push_back(queue_.top());
+      group_.push_back(Resolved{.idx = queue_.top().idx});
       queue_.pop();
     }
     if (tenant_mode_) {
-      std::erase_if(group_, [&](const Pending& g) { return tst(g.idx) == 2; });
+      std::erase_if(group_, [&](const Resolved& g) { return tst(g.idx) == 2; });
     }
     if (faults_active_) submit_rebuild_due(now_);
     array_->run_until(now_);
@@ -1207,28 +1239,56 @@ class ReplayEngine {
     }
   }
 
-  /// Count read demand (writes bypass read admission), resolve buckets
-  /// through the mapper and stamp each member's dispatch tentatively (a
-  /// deferred request's outcome is overwritten on its next pass).
+  /// Count read demand (writes bypass read admission; every carried entry
+  /// is a read, counted in bulk), resolve the popped members' buckets
+  /// through the mapper and stamp their dispatch tentatively (a carried
+  /// read is stamped again when it is finally placed).
   void resolve() {
     // Q estimate for this interval (constant between end_interval calls).
-    const auto q_ppm =
-        stat_.has_value()
-            ? static_cast<std::int32_t>(std::llround(stat_->q_with() * 1e6))
-            : 0;
-    buckets_.resize(group_.size());
-    for (std::size_t i = 0; i < group_.size(); ++i) {
-      const auto& e = ev(group_[i].idx);
+    q_ppm_ = stat_.has_value()
+                 ? static_cast<std::int32_t>(std::llround(stat_->q_with() * 1e6))
+                 : 0;
+    if (carry_due_) demand_ += carried();
+    for (auto& g : group_) {
+      const auto& e = ev(g.idx);
       if (e.is_read) ++demand_;
-      const auto m = mapper_.map(e.block);
-      buckets_[i] = m.bucket;
-      auto& o = out(group_[i].idx);
-      o.dispatch = now_;
-      o.fim_matched = cfg_.mapping == MappingMode::kFim && m.matched;
-      o.q_ppm = q_ppm;
-      o.tenant = e.tenant;
+      map_into(g);
+      stamp(g);
     }
     if constexpr (obs::kEnabled) map_calls_tally_ += group_.size();
+  }
+
+  /// The mapping epoch as Resolved stores it (31 bits: a carried read
+  /// would have to outlive 2^31 reporting slices to alias).
+  [[nodiscard]] std::uint32_t map_epoch() const {
+    return static_cast<std::uint32_t>(report_idx_) & 0x7fffffffU;
+  }
+
+  void map_into(Resolved& r) {
+    const auto m = mapper_.map(ev(r.idx).block);
+    r.bucket = m.bucket;
+    r.matched = m.matched ? 1U : 0U;
+    r.epoch = map_epoch();
+  }
+
+  /// A carried read is examined again: re-map it only if a FIM rollover
+  /// rebuilt the mapper since it was mapped (never under modulo mapping).
+  /// BlockMapper::map is const, so this yields the bucket an eager re-map
+  /// at every pass would.
+  void refresh(Resolved& r) {
+    if constexpr (obs::kEnabled) ++rescans_tally_;
+    if (r.epoch == map_epoch()) return;
+    map_into(r);
+    if constexpr (obs::kEnabled) ++map_calls_tally_;
+  }
+
+  /// Stamp the instant's view on a request's outcome.
+  void stamp(const Resolved& r) {
+    auto& o = out(r.idx);
+    o.dispatch = now_;
+    o.fim_matched = cfg_.mapping == MappingMode::kFim && r.matched != 0;
+    o.q_ppm = q_ppm_;
+    o.tenant = ev(r.idx).tenant;
   }
 
   /// Device availability at this instant: refresh the degraded budgets
@@ -1255,22 +1315,32 @@ class ReplayEngine {
       ++degraded_interval_tally_;
       last_degraded_qi_ = current_qi_;
     }
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < group_.size(); ++i) {
-      const std::size_t id = group_[i].idx;
-      if (!(tenant_mode_ && ev(id).is_read)) {
-        const Strand s = strand(id, buckets_[i]);
-        if (s.kind == Strand::kWait) {
-          requeue_.push_back(Pending{s.retry_at, id});
-          ++retries_tally_;
-        }
-        if (s.kind != Strand::kLive) continue;
-      }
-      group_[kept] = group_[i];
-      buckets_[kept++] = buckets_[i];
+    std::erase_if(group_, [&](const Resolved& g) {
+      return !(tenant_mode_ && ev(g.idx).is_read) && !settle_live(g);
+    });
+    if (!carry_due_) return;
+    // The one O(backlog) path left: at an instant where some device is
+    // down, every carried read faces the strand rule, as it would if it
+    // had rejoined the group. Healthy instants never walk the FIFO.
+    std::size_t kept = carry_head_;
+    for (std::size_t i = carry_head_; i < carry_.size(); ++i) {
+      Resolved& r = carry_[i];
+      refresh(r);
+      stamp(r);
+      if (settle_live(r)) carry_[kept++] = r;
     }
-    group_.resize(kept);
-    buckets_.resize(kept);
+    carry_.resize(kept);
+  }
+
+  /// The strand rule for one group member at this instant: true while some
+  /// replica is live; a stranded request is requeued for a retry or fails.
+  [[nodiscard]] bool settle_live(const Resolved& r) {
+    const Strand s = strand(r.idx, r.bucket);
+    if (s.kind == Strand::kWait) {
+      requeue_.push_back(Pending{s.retry_at, r.idx});
+      ++retries_tally_;
+    }
+    return s.kind == Strand::kLive;
   }
 
   /// A request's fate when every replica of its bucket may be down.
@@ -1337,11 +1407,10 @@ class ReplayEngine {
   /// reads (pessimistic for read QoS).
   void place_writes() {
     std::size_t kept = 0;
-    for (std::size_t i = 0; i < group_.size(); ++i) {
-      const std::size_t id = group_[i].idx;
+    for (const auto& g : group_) {
+      const std::size_t id = g.idx;
       if (ev(id).is_read) {
-        group_[kept] = group_[i];
-        buckets_[kept++] = buckets_[i];
+        group_[kept++] = g;
         continue;
       }
       auto& o = out(id);
@@ -1350,7 +1419,7 @@ class ReplayEngine {
       SimTime first_start = INT64_MAX;
       SimTime last_finish = 0;
       DeviceId first_dev = kInvalidDevice;
-      for (const auto dev : scheme_.replicas(buckets_[i])) {
+      for (const auto dev : scheme_.replicas(g.bucket)) {
         if (!available_.empty() && !available_[dev]) continue;
         const SimTime start = std::max(free_at_[dev], now_);
         const SimTime finish = start + cfg_.write_latency;
@@ -1375,7 +1444,6 @@ class ReplayEngine {
       mark_final(id);
     }
     group_.resize(kept);
-    buckets_.resize(kept);
   }
 
   /// How many of `count` more requests this interval's budget admits:
@@ -1395,64 +1463,168 @@ class ReplayEngine {
     return count;
   }
 
-  /// Single-tenant admission. Primary-only and aligned admit a prefix of
-  /// the group — the baseline one request at a time, the aligned batch in
-  /// one accept — and defer the rest. Online admits a read only if it can
-  /// be fitted inside the access budget on currently available device
-  /// slots (with remapping of the same-instant batch), which is what makes
-  /// every admitted request meet the guarantee exactly (the paper's flat
+  /// Single-tenant admission over the instant's reads: the carried FIFO
+  /// (when due) merged with the group in idx order, which is the order the
+  /// dispatch heap would pop them in. Primary-only and aligned admit a
+  /// prefix — the baseline one request at a time, the aligned batch in one
+  /// accept — and defer the rest. Online admits a read only if it can be
+  /// fitted inside the access budget on currently available device slots
+  /// (with remapping of the same-instant batch), which is what makes every
+  /// admitted request meet the guarantee exactly (the paper's flat
   /// 0.132507 ms line). Statistical surplus beyond S is admitted while
   /// Q < ε and served from the earliest-finishing replica, queueing
   /// allowed (the Fig. 10 response-time cost).
+  ///
+  /// The scan stops as soon as the instant's budget closes (budget_closed)
+  /// — every read it has not reached would be refused — so its cost is the
+  /// reads it admits plus the refusals before the budget closes, not the
+  /// backlog. Unreached and refused carried reads stay in place; deferred
+  /// group reads join the FIFO.
   void admit() {
+    FLASHQOS_ASSERT(carry_due_ || carried() == 0 || carry_at_ == next_boundary(),
+                    "the carried FIFO targets the next QoS boundary");
+    const std::size_t carried_before = carried();
+    const std::size_t tail = carry_.size();  // deferred group reads append here
+    const std::size_t c_end = carry_due_ ? tail : carry_head_;
+    std::size_t ci = carry_head_;    // next carried read of this instant
+    std::size_t kept = carry_head_;  // refused carried reads, compacted
+    std::size_t gi = 0;              // next group read
+    // Offer the next read in idx order to `decide`; true = it leaves
+    // admission this instant (admitted or surplus), false = deferred.
+    const auto step = [&](auto&& decide) {
+      if (ci < c_end && (gi == group_.size() || carry_[ci].idx < group_[gi].idx)) {
+        Resolved& r = carry_[ci++];
+        refresh(r);
+        if (decide(r)) {
+          stamp(r);
+        } else {
+          carry_[kept++] = r;
+        }
+      } else if (const Resolved& g = group_[gi++]; !decide(g)) {
+        carry_.push_back(g);
+      }
+    };
     if (!slot_matching_) {
+      const std::size_t reads = (c_end - ci) + group_.size();
       std::size_t n = 0;
       if (cfg_.scheduler == SchedulerMode::kPrimaryOnly) {
-        while (n < group_.size() && accept(1) > 0) {
+        while (n < reads && accept(1) > 0) {
           ++admitted_;
           ++n;
         }
       } else {
-        n = accept(group_.size());
+        n = accept(reads);
         admitted_ += n;
       }
-      for (std::size_t i = 0; i < group_.size(); ++i) {
-        if (i < n) {
-          batch_ids_.push_back(group_[i].idx);
-          batch_buckets_.push_back(buckets_[i]);
-        } else {
-          defer(group_[i].idx);
-        }
+      for (std::size_t k = 0; k < n; ++k) {
+        step([&](const Resolved& r) {
+          batch_ids_.push_back(r.idx);
+          batch_buckets_.push_back(r.bucket);
+          return true;
+        });
       }
-      return;
+    } else {
+      begin_matching();
+      ++refusal_epoch_;
+      refused_buckets_ = 0;
+      while ((ci < c_end || gi < group_.size()) && !budget_closed()) {
+        step([&](const Resolved& r) { return offer_read(r); });
+      }
     }
-    begin_matching();
-    for (std::size_t i = 0; i < group_.size(); ++i) {
-      const bool in_budget =
-          cfg_.admission == AdmissionMode::kNone || admitted_ < det_limit_now_;
-      switch (offer(buckets_[i], in_budget)) {
-        case Fit::kMatched:
-          ++admitted_;
-          batch_ids_.push_back(group_[i].idx);
-          break;
-        case Fit::kOverflow:
-          surplus_ids_.push_back(group_[i].idx);
-          surplus_buckets_.push_back(buckets_[i]);
-          break;
-        case Fit::kRefused:
-          if (cfg_.admission == AdmissionMode::kStatistical &&
-              admitted_ >= det_limit_now_ && stat_->accept(admitted_, 1) > 0) {
-            matching_open_ = false;  // surplus placements stale the slot view
-            ++admitted_;
-            surplus_ids_.push_back(group_[i].idx);
-            surplus_buckets_.push_back(buckets_[i]);
-          } else {
-            defer(group_[i].idx);
-          }
-          break;
-      }
+    carry_.insert(carry_.end(),
+                  group_.begin() + static_cast<std::ptrdiff_t>(gi), group_.end());
+    // Compact only the scanned prefix: the refused carried reads move up
+    // against the unscanned rest, keeping idx order.
+    const auto at = [&](std::size_t i) {
+      return carry_.begin() + static_cast<std::ptrdiff_t>(i);
+    };
+    std::move_backward(at(carry_head_), at(kept), at(ci));
+    carry_head_ = ci - (kept - carry_head_);
+    // Fresh arrivals are newer than every carried read, so the deferred
+    // group reads append in idx order; only a fault retry deferred at its
+    // retry boundary can be older than part of the backlog, and then the
+    // two merge in O(backlog) (fault instants only).
+    if (carry_head_ < tail && tail < carry_.size() &&
+        carry_[tail].idx < carry_[tail - 1].idx) {
+      std::inplace_merge(at(carry_head_), at(tail), carry_.end(),
+                         [](const Resolved& a, const Resolved& b) {
+                           return a.idx < b.idx;
+                         });
+    }
+    // Reclaim the consumed front once it outweighs the live backlog: each
+    // reclaim moves at most as many reads as were consumed since the last
+    // one, so the vector stays O(backlog) at amortized O(1) per read.
+    if (2 * carry_head_ >= carry_.size()) {
+      carry_.erase(carry_.begin(), at(carry_head_));
+      carry_head_ = 0;
+    }
+    if (carried() > 0) carry_at_ = next_boundary();
+    // One deferral event per read carried past this instant's pass.
+    if constexpr (obs::kEnabled) {
+      deferrals_tally_ += carried() - (carry_due_ ? 0 : carried_before);
     }
   }
+
+  /// Whether no later read of this instant can leave admission. With
+  /// admission, a read is matched only while admitted_ < S' and its
+  /// bucket is not yet refused this instant; past S' only statistical
+  /// surplus admits, while accept(admitted_, 1) > 0. Neither can reopen
+  /// without admitting, so once closed every unreached read would be
+  /// deferred.
+  [[nodiscard]] bool budget_closed() const {
+    switch (cfg_.admission) {
+      case AdmissionMode::kNone:
+        return false;
+      case AdmissionMode::kDeterministic:
+        return admitted_ >= det_limit_now_ || refused_buckets_ == scheme_.buckets();
+      case AdmissionMode::kStatistical:
+        return admitted_ < det_limit_now_ ? refused_buckets_ == scheme_.buckets()
+                                          : stat_->accept(admitted_, 1) == 0;
+    }
+    return false;
+  }
+
+  /// One read's online admission verdict: true when it leaves admission
+  /// (matched, overflowed or statistical surplus), false when deferred.
+  /// Refused buckets are memoized per instant: a failed SlotMatcher::add
+  /// leaves the matching unchanged, and a read with no augmenting path has
+  /// none as the matching grows, so a refused bucket stays refused until
+  /// the next instant and its later reads skip the matcher.
+  [[nodiscard]] bool offer_read(const Resolved& r) {
+    const bool in_budget =
+        cfg_.admission == AdmissionMode::kNone || admitted_ < det_limit_now_;
+    Fit fit = Fit::kRefused;
+    if (!in_budget || refused_at_[r.bucket] != refusal_epoch_) {
+      fit = offer(r.bucket, in_budget);
+      if (fit == Fit::kRefused && in_budget) {
+        refused_at_[r.bucket] = refusal_epoch_;
+        ++refused_buckets_;
+      }
+    }
+    switch (fit) {
+      case Fit::kMatched:
+        ++admitted_;
+        batch_ids_.push_back(r.idx);
+        return true;
+      case Fit::kOverflow:
+        surplus_ids_.push_back(r.idx);
+        surplus_buckets_.push_back(r.bucket);
+        return true;
+      case Fit::kRefused:
+        if (cfg_.admission == AdmissionMode::kStatistical &&
+            admitted_ >= det_limit_now_ && stat_->accept(admitted_, 1) > 0) {
+          matching_open_ = false;  // surplus placements stale the slot view
+          ++admitted_;
+          surplus_ids_.push_back(r.idx);
+          surplus_buckets_.push_back(r.bucket);
+          return true;
+        }
+        return false;
+    }
+    return false;
+  }
+
+  [[nodiscard]] std::size_t carried() const { return carry_.size() - carry_head_; }
 
   /// Arm the slot matcher for this instant. Under a latency spike it gets
   /// per-device effective quanta: a stretched slot fits fewer times in the
@@ -1549,6 +1721,11 @@ class ReplayEngine {
         ts_->drop_head(*tid);
         continue;
       }
+      // A stranded head blocks its tenant until a replica recovers: one
+      // fault retry per wait, counted the first time it is seen waiting.
+      const bool waiting = s.kind == Strand::kWait;
+      if (waiting && !win_[id].stranded) ++retries_tally_;
+      win_[id].stranded = waiting;
       const Fit fit = s.kind == Strand::kWait ? Fit::kRefused
                       : slot_matching_        ? offer(m.bucket, true)
                                               : Fit::kMatched;
@@ -1576,7 +1753,7 @@ class ReplayEngine {
     // One wake per still-queued member of this group; queued requests
     // from older groups already hold theirs.
     for (const auto& g : group_) {
-      if (tst(g.idx) == 1) defer(g.idx);
+      if (tst(g.idx) == 1) wake(g.idx);
     }
   }
 
@@ -1691,14 +1868,14 @@ class ReplayEngine {
 
   [[nodiscard]] SimTime next_boundary() const { return (current_qi_ + 1) * T_; }
 
-  /// Carry a request to the next QoS boundary: an admission deferral or a
-  /// WFQ boundary wake.
-  void defer(std::size_t id) {
+  /// A queued WFQ request's wake at the next QoS boundary, which keeps the
+  /// tenant backlog draining after the last arrival.
+  void wake(std::size_t id) {
     requeue_.push_back(Pending{next_boundary(), id});
     if constexpr (obs::kEnabled) ++deferrals_tally_;
   }
 
-  /// Everything carried past this instant re-enters the dispatch queue.
+  /// Boundary wakes and fault retries re-enter the dispatch queue.
   void requeue() {
     for (const auto& p : requeue_) queue_.push(p);
     requeue_.clear();
@@ -1714,6 +1891,7 @@ class ReplayEngine {
     m.dispatches.inc(dispatches_tally_);
     m.deferral_events.inc(deferrals_tally_);
     m.map_calls.inc(map_calls_tally_);
+    m.rescans.inc(rescans_tally_);
     m.write_replica_ops.inc(write_ops_tally_);
     if (faults_active_) {
       auto& fm = FaultMetrics::get();
@@ -1749,6 +1927,7 @@ class ReplayEngine {
   }
 
   StreamResult finish() {
+    FLASHQOS_ASSERT(carried() == 0, "the carried backlog must drain by end of stream");
     if (stat_.has_value()) stat_->end_interval(demand_, admitted_);
     StreamResult res;
     if (tenant_mode_) {
@@ -1878,22 +2057,35 @@ class ReplayEngine {
   std::uint64_t deferrals_tally_ = 0;
   std::uint64_t write_ops_tally_ = 0;
   std::uint64_t map_calls_tally_ = 0;
+  std::uint64_t rescans_tally_ = 0;
 
   // Per-instant state, hoisted out of the dispatch loop so steady-state
   // scheduling reuses its capacity instead of reallocating every group.
   SimTime now_ = 0;              // the dispatch instant being processed
   const bool slot_matching_;     // online, replica-scheduled placement
   bool matching_open_ = false;   // the matcher's slot view is still valid
-  std::vector<Pending> group_;
-  std::vector<BucketId> buckets_;  // group_'s resolved buckets
+  std::int32_t q_ppm_ = 0;       // the instant's Q estimate, as stamped
+  std::vector<Resolved> group_;  // the heap's entries at now_
   std::vector<bool> available_;
+  // The carried FIFO: single-tenant reads deferred by admission, live in
+  // [carry_head_, size()), in idx order, all dispatching at carry_at_
+  // (the next QoS boundary). carry_due_: it joins the current instant.
+  std::vector<Resolved> carry_;
+  std::size_t carry_head_ = 0;
+  SimTime carry_at_ = 0;
+  bool carry_due_ = false;
+  // Per-instant refused-bucket memo for online admission: bucket b is
+  // refused this instant iff refused_at_[b] == refusal_epoch_.
+  std::vector<std::uint64_t> refused_at_;
+  std::uint64_t refusal_epoch_ = 0;
+  std::size_t refused_buckets_ = 0;
   // Admitted batch (aligned / primary-only) or matched reads in add order
   // (online), and surplus reads; filled by admission, emptied by place().
   std::vector<std::size_t> batch_ids_;
   std::vector<BucketId> batch_buckets_;
   std::vector<std::size_t> surplus_ids_;
   std::vector<BucketId> surplus_buckets_;
-  std::vector<Pending> requeue_;  // carried past this instant
+  std::vector<Pending> requeue_;  // wakes and retries past this instant
   std::vector<std::size_t> order_;
   std::vector<SimTime> cursor_;
   std::vector<SimTime> svc_now_;  // per-device effective quanta under spikes

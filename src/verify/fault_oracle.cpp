@@ -8,6 +8,7 @@
 #include "core/qos_pipeline.hpp"
 #include "core/sampler.hpp"
 #include "fault/fault_plan.hpp"
+#include "obs/metrics.hpp"
 #include "trace/synthetic.hpp"
 #include "util/rng.hpp"
 #include "verify/replay_equivalence.hpp"
@@ -88,6 +89,58 @@ fault::FaultPlan make_plan(const decluster::AllocationScheme& scheme,
                         .factor = 2.0 + static_cast<double>(g.below(4))};
   if (r % 2 == 0 && r % 3 == 0) plan.retry.timeout = 40 * T;
   return plan;
+}
+
+/// (e) Stranded-wait accounting, the same under both front ends: every
+/// replica of bucket 0 goes down for 0.6 ms under a light two-tenant load
+/// that keeps hitting bucket 0. A stranded read waits out the outage —
+/// single-tenant as a requeued retry, under WFQ as a blocked queue head —
+/// and each wait must count in fault.retries.
+void check_stranded_retries(const decluster::AllocationScheme& scheme,
+                            Report& report) {
+  const std::string tag = "stranded-wait retries";
+  if constexpr (!obs::kEnabled) {
+    report.add(tag + " skipped (FLASHQOS_OBS=OFF)", true,
+               "instrumentation compiled out of this build");
+    return;
+  } else {
+    const SimTime T = kBaseInterval;
+    trace::MultiTenantParams mt;
+    mt.intervals = 40;
+    mt.tenants = {{.requests_per_interval = 2, .bucket_pool = 2},
+                  {.requests_per_interval = 1, .bucket_pool = 2}};
+    mt.jitter_slots = 2;
+    const auto t = trace::generate_multi_tenant(mt);
+    core::PipelineConfig cfg;
+    cfg.admission = core::AdmissionMode::kDeterministic;
+    cfg.mapping = core::MappingMode::kModulo;
+    for (const auto d : scheme.replicas(0)) {
+      cfg.faults.outages.push_back(
+          {.device = d, .fail_at = 4 * T, .recover_at = 4 * T + from_ms(0.6)});
+    }
+    auto& reg = obs::MetricRegistry::global();
+    const auto retries = [&] {
+      const auto snap = reg.snapshot();
+      const auto* c = snap.find_counter("fault.retries");
+      return c != nullptr ? c->value : 0;
+    };
+    for (const bool wfq : {false, true}) {
+      cfg.tenants.clear();
+      if (wfq) {
+        cfg.tenants = {{.name = "a", .weight = 2.0},
+                       {.name = "b", .weight = 1.0}};
+      }
+      const auto before = retries();
+      const auto result = core::QosPipeline(scheme, cfg).run(t);
+      const auto counted = retries() - before;
+      std::size_t failed = 0;
+      for (const auto& o : result.outcomes) failed += o.failed ? 1 : 0;
+      report.add(tag + (wfq ? " (wfq)" : " (single-tenant)"),
+                 counted > 0 && failed == 0,
+                 "fault.retries=" + std::to_string(counted) +
+                     ", failed=" + std::to_string(failed));
+    }
+  }
 }
 
 }  // namespace
@@ -242,6 +295,7 @@ Report verify_fault_tolerance(const decluster::AllocationScheme& scheme,
       report.add(tag + " serial==parallel", identical, identical ? "" : why);
     }
   }
+  check_stranded_retries(scheme, report);
   return report;
 }
 

@@ -18,7 +18,10 @@
 //       (statistical admission is excluded: its surplus path queues by
 //       design);
 //   (d) serial ≡ sweep — a run_jobs sweep slot stays bit-identical to the
-//       serial pipeline under every fault plan.
+//       serial pipeline under every fault plan;
+//   (e) stranded-wait accounting — with one bucket's whole replica set
+//       down for 0.6 ms, the reads that wait it out count in fault.retries
+//       under both the single-tenant and the WFQ front end.
 #pragma once
 
 #include <cstdint>

@@ -295,26 +295,51 @@ Report verify_observability(const decluster::AllocationScheme& scheme,
     // registry's own post-run fold, from the returned outcomes.
     Tally want;
     WindowOracle win_oracle;
-    const auto run = [&](const core::PipelineConfig& cfg, const trace::Trace& t) {
-      const auto r = core::QosPipeline(scheme, cfg).run(t);
+    // Engine cost property, per single-tenant run: a request is mapped
+    // when it first reaches a dispatch instant and again only on a fault
+    // retry (which re-enters the dispatch heap). A deferred read is carried
+    // with its bucket and re-mapped only when a FIM rollover rebuilt the
+    // mapper — at most once per examination (pipeline.work.rescans).
+    const auto run = [&](const char* name, const core::PipelineConfig& cfg,
+                         const trace::Trace& t) {
+      const auto before = reg.snapshot();
+      auto r = core::QosPipeline(scheme, cfg).run(t);
+      if (cfg.tenants.empty()) {
+        const auto after = reg.snapshot();
+        const auto delta = [&](std::string_view n) {
+          return cval(after, n) - cval(before, n);
+        };
+        const std::uint64_t floor = r.outcomes.size() + delta("fault.retries");
+        const std::uint64_t map_calls = delta("pipeline.work.map_calls");
+        const std::string tag = std::string(name) + ": pipeline.work.map_calls ";
+        if (cfg.mapping != core::MappingMode::kFim) {
+          check_eq(report, tag + "== requests + fault.retries", map_calls, floor);
+        } else {
+          const std::uint64_t bound = floor + delta("pipeline.work.rescans");
+          report.add(tag + "<= requests + fault.retries + rescans",
+                     map_calls <= bound,
+                     std::to_string(map_calls) + " vs " + std::to_string(bound));
+        }
+      }
       win_oracle.add_run(cfg, r);
       tally(r, want);
+      return r;
     };
 
     core::PipelineConfig online_det;  // slot matching, the flat line
-    run(online_det, synthetic);
+    run("online_det", online_det, synthetic);
 
     core::PipelineConfig aligned_none;  // batch DTR + max-flow, no admission
     aligned_none.retrieval = core::RetrievalMode::kIntervalAligned;
     aligned_none.admission = core::AdmissionMode::kNone;
     aligned_none.mapping = core::MappingMode::kModulo;
-    run(aligned_none, exchange);
+    run("aligned_none", aligned_none, exchange);
 
     core::PipelineConfig online_stat;  // statistical admission: Q series
     online_stat.admission = core::AdmissionMode::kStatistical;
     online_stat.epsilon = 0.01;
     online_stat.p_table = p_table;
-    run(online_stat, exchange);
+    run("online_stat", online_stat, exchange);
 
     core::PipelineConfig aligned_failures;  // degraded retrieval
     aligned_failures.retrieval = core::RetrievalMode::kIntervalAligned;
@@ -324,14 +349,14 @@ Report verify_observability(const decluster::AllocationScheme& scheme,
         {.device = scheme.devices() - 1,
          .fail_at = from_ms(2.0),
          .recover_at = core::DeviceFailure::kNeverRecovers});
-    run(aligned_failures, exchange);
+    run("aligned_failures", aligned_failures, exchange);
 
     core::PipelineConfig online_writes;  // replicated page programs
-    run(online_writes, with_writes);
+    run("online_writes", online_writes, with_writes);
 
     core::PipelineConfig primary_only;  // the RAID-1 baseline path
     primary_only.scheduler = core::SchedulerMode::kPrimaryOnly;
-    run(primary_only, synthetic);
+    run("primary_only", primary_only, synthetic);
 
     // Multi-tenant WFQ config tuned to shed: bronze's per-boundary burst
     // (12) exceeds its queue capacity (4), so the kShed path and the
@@ -352,7 +377,7 @@ Report verify_observability(const decluster::AllocationScheme& scheme,
     mt.tenants = {{.requests_per_interval = 3, .bucket_pool = 6},
                   {.requests_per_interval = 12, .bucket_pool = 6}};
     mt.seed = params.seed;
-    run(tenant_wfq, trace::generate_multi_tenant(mt));
+    run("tenant_wfq", tenant_wfq, trace::generate_multi_tenant(mt));
 
     // SLO config: a latency spike on every device turns a known span of
     // windows into response breaches under the no-admission baseline
@@ -378,9 +403,7 @@ Report verify_observability(const decluster::AllocationScheme& scheme,
                                        .end = from_ms(6.0),
                                        .factor = 8.0});
     }
-    const auto slo_result = core::QosPipeline(scheme, slo_cfg).run(synthetic);
-    win_oracle.add_run(slo_cfg, slo_result);
-    tally(slo_result, want);
+    const auto slo_result = run("slo_cfg", slo_cfg, synthetic);
 
     const auto snap = reg.snapshot();
 

@@ -9,6 +9,10 @@
 //
 //   * pipeline counters equal the outcome tallies (requests, reads served,
 //     writes, failures, dispatches);
+//   * the engine cost property, per single-tenant run: map calls equal
+//     requests + fault retries (a carried deferral is never re-mapped)
+//     unless FIM mapping is on, where each extra call needs a carried-read
+//     rescan (pipeline.work.rescans);
 //   * every histogram is internally consistent (bucket counts sum to the
 //     recorded count, the exact value multiset sums to it too, percentiles
 //     are monotone between min and max) and the response histogram's

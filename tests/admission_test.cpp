@@ -116,6 +116,41 @@ TEST(StatisticalAdmission, BeyondTableIsPessimistic) {
   EXPECT_EQ(a.accept(0, 50), 2u);
 }
 
+// accept() skips the sizes past the P_k table, which all share one Q; it
+// must answer exactly what the plain downward scan over every size does.
+TEST(StatisticalAdmission, AcceptMatchesFullScan) {
+  const auto full_scan = [](const StatisticalAdmission& a, std::uint64_t limit,
+                            double eps, std::uint64_t already,
+                            std::uint64_t count) -> std::uint64_t {
+    if (already + count <= limit) return count;
+    for (std::uint64_t k = already + count; k > limit; --k) {
+      if (k <= already) return 0;
+      if (a.q_with(k) < eps) return k - already;
+    }
+    return already >= limit ? 0 : limit - already;
+  };
+  std::vector<double> p(9, 1.0);
+  p[6] = 0.97;
+  p[7] = 0.9;
+  p[8] = 0.6;
+  for (const std::uint64_t limit : {2u, 5u, 8u, 12u}) {
+    for (const double eps : {0.0, 0.02, 0.3, 0.95, 1.0}) {
+      StatisticalAdmission a(p, limit, eps);
+      for (int round = 0; round < 3; ++round) {
+        for (std::uint64_t already = 0; already < 16; ++already) {
+          for (std::uint64_t count = 0; count < 40; ++count) {
+            ASSERT_EQ(a.accept(already, count),
+                      full_scan(a, limit, eps, already, count))
+                << "limit " << limit << " eps " << eps << " round " << round
+                << " already " << already << " count " << count;
+          }
+        }
+        a.end_interval(limit + 3, limit + 1 + static_cast<std::uint64_t>(round));
+      }
+    }
+  }
+}
+
 TEST(StatisticalAdmission, LargerEpsilonAcceptsMore) {
   std::vector<double> p(12, 1.0);
   for (std::size_t k = 6; k < p.size(); ++k) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/qos_pipeline.hpp"
+#include "core/sampler.hpp"
 #include "decluster/schemes.hpp"
 #include "design/constructions.hpp"
 #include "obs/export.hpp"
@@ -510,11 +511,12 @@ TEST(PipelineObservability, CountersMatchReplayOutcomes) {
   }
 }
 
-// Engine work counter: each dispatch instant maps every member of its
-// group once, and a deferred request rejoins a later group. On a
-// single-tenant deterministic backlog (bursts above S, no faults) that
-// makes map calls = requests + deferral events — the O(backlog) re-map
-// cost of carrying deferred requests through the dispatch queue.
+// Engine work counter: each request is mapped once, when it first reaches
+// a dispatch instant. A deferred read is carried to the next boundary with
+// its bucket, and is re-mapped only when a FIM rollover rebuilds the
+// mapper — never under modulo mapping. On a single-tenant deterministic
+// backlog (bursts above S, no faults) every read is deferred several
+// times, yet map calls = requests.
 TEST(PipelineObservability, MapCallsCountEveryDeferralPass) {
   if constexpr (!kEnabled) {
     GTEST_SKIP() << "FLASHQOS_OBS=OFF";
@@ -539,7 +541,79 @@ TEST(PipelineObservability, MapCallsCountEveryDeferralPass) {
     ASSERT_NE(map_calls, nullptr);
     EXPECT_GT(result.overall.deferred, 0u);
     EXPECT_GT(deferrals->value, result.outcomes.size());
-    EXPECT_EQ(map_calls->value, result.outcomes.size() + deferrals->value);
+    EXPECT_EQ(map_calls->value, result.outcomes.size());
+    reg.reset();
+  }
+}
+
+// `bursts` same-instant bursts of `burst` reads, one every burst/4 QoS
+// intervals (4 reads per interval on average against S = 5, so each
+// backlog drains before the next burst), at a seeded phase inside the
+// interval; blocks are uniform over 4·buckets.
+trace::Trace burst_trace(std::size_t burst, std::size_t bursts, std::uint32_t buckets,
+                         SimTime interval) {
+  Rng rng(17);
+  trace::Trace t;
+  t.name = "bursts";
+  t.volumes = 1;
+  const auto gap = static_cast<SimTime>(burst / 4) * interval;
+  for (std::size_t b = 0; b < bursts; ++b) {
+    const SimTime at = static_cast<SimTime>(b) * gap +
+                       rng.between(0, static_cast<std::int64_t>(interval) - 1);
+    for (std::size_t i = 0; i < burst; ++i) {
+      t.events.push_back({.time = at, .block = rng.below(4 * buckets)});
+    }
+  }
+  return t;
+}
+
+// The cost guard: engine work per served read must not grow with the
+// backlog. Carried reads examined by admission (pipeline.work.rescans)
+// per served read stay flat when the backlog grows 10×, under both
+// admission rules, and no carried read is ever re-mapped.
+TEST(PipelineObservability, RescansPerServedReadStayFlatAsBacklogGrows) {
+  if constexpr (!kEnabled) {
+    GTEST_SKIP() << "FLASHQOS_OBS=OFF";
+  } else {
+    auto& reg = MetricRegistry::global();
+    const auto d = design::make_9_3_1();
+    const decluster::DesignTheoretic scheme(d, true);
+    core::PipelineConfig base;
+    base.retrieval = core::RetrievalMode::kOnline;
+    base.mapping = core::MappingMode::kModulo;
+    const auto p_table = core::sample_optimal_probabilities(
+        scheme, 24, {.samples_per_size = 200, .seed = 1});
+    for (const auto mode : {core::AdmissionMode::kDeterministic,
+                            core::AdmissionMode::kStatistical}) {
+      auto cfg = base;
+      cfg.admission = mode;
+      if (mode == core::AdmissionMode::kStatistical) {
+        cfg.p_table = p_table;
+        cfg.epsilon = 0.01;
+      }
+      double per_read[2] = {0.0, 0.0};
+      for (std::size_t scale = 0; scale < 2; ++scale) {
+        const std::size_t burst = scale == 0 ? 100 : 1000;
+        const auto t = burst_trace(burst, 8, scheme.buckets(), cfg.qos_interval);
+        reg.reset();
+        const auto result = core::QosPipeline(scheme, cfg).run(t);
+        const auto snap = reg.snapshot();
+        const auto* rescans = snap.find_counter("pipeline.work.rescans");
+        const auto* reads = snap.find_counter("pipeline.reads_served");
+        const auto* map_calls = snap.find_counter("pipeline.work.map_calls");
+        ASSERT_NE(rescans, nullptr);
+        ASSERT_NE(reads, nullptr);
+        ASSERT_NE(map_calls, nullptr);
+        ASSERT_GT(result.overall.deferred, burst);  // a real backlog formed
+        EXPECT_EQ(map_calls->value, result.outcomes.size());
+        per_read[scale] = static_cast<double>(rescans->value) /
+                          static_cast<double>(reads->value);
+      }
+      EXPECT_GT(per_read[0], 0.0);
+      EXPECT_LE(per_read[1], 1.25 * per_read[0])
+          << "admission mode " << static_cast<int>(mode) << ": rescans per read "
+          << per_read[0] << " at 1x, " << per_read[1] << " at 10x";
+    }
     reg.reset();
   }
 }
